@@ -14,8 +14,6 @@ from .batcher import (
     UNSORTED,
     Batch,
     BatchPlanConfig,
-    EpochLoader,
-    Loader,
     epoch_order,
     epoch_shuffle_seed,
     run_epochs,
@@ -62,8 +60,6 @@ __all__ = [
     "POLICIES",
     "Batch",
     "BatchPlanConfig",
-    "EpochLoader",
-    "Loader",
     "epoch_order",
     "epoch_shuffle_seed",
     "run_epochs",

@@ -1,21 +1,25 @@
-"""Buffered partial-sort batch loader and the two reference policies.
+"""Look-ahead partial-sort batch loader and the two reference policies.
 
-The loader keeps a buffer of at most m*k pairs. Whenever fewer than m pairs
-remain buffered and unread pairs exist, it tops the buffer up to m*k, sorts
-the whole buffer ascending by (src_len, tgt_len), and then keeps popping the
-first m pairs per batch. k=1 degenerates to plain chunking of the shuffled
-corpus ("unsorted"); sorting the entire epoch order up front gives the
-"full_sort" policy. Buffers are never carried across epochs: each epoch gets
-a fresh permutation derived from (seed, epoch) and drains completely.
+The paper's loader keeps a buffer of at most m*k pairs. Whenever fewer than m
+pairs remain buffered and unread pairs exist, it tops the buffer up to m*k,
+stable-sorts the whole buffer ascending by (src_len, tgt_len), and then pops
+the first m pairs per batch. Each pop takes exactly m and each refill tops up
+to m*k, so pairs are left over in the buffer only once the epoch's shuffle is
+used up. The stream of one epoch is therefore the shuffled epoch stable-sorted
+by (src_len, tgt_len) within consecutive blocks of m*k pairs, then cut into
+batches of m; this module computes it that way, with one stable sort per
+epoch. k=1 ("unsorted") sorts within blocks of m, which keeps the batches of
+plain chunking of the shuffled corpus; "full_sort" sorts the whole epoch as
+one block. Ties keep their shuffled order. Nothing carries across epochs:
+each epoch gets a fresh permutation derived from (seed, epoch).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,20 +30,13 @@ UNSORTED = "unsorted"
 FULL_SORT = "full_sort"
 POLICIES = (PARTIAL_SORT, UNSORTED, FULL_SORT)
 
-#: Buffer sort key: source length first, target length second; ties keep
-#: their shuffled order (stable sort), preserving residual randomness.
-SORT_KEY = attrgetter("src_len", "tgt_len")
-
 __all__ = [
     "PARTIAL_SORT",
     "UNSORTED",
     "FULL_SORT",
     "POLICIES",
-    "SORT_KEY",
     "BatchPlanConfig",
     "Batch",
-    "EpochLoader",
-    "Loader",
     "epoch_shuffle_seed",
     "epoch_order",
     "run_epochs",
@@ -84,18 +81,6 @@ class Batch:
     epoch_index: int
 
 
-def _make_batch(pairs: Sequence[SentencePair], iteration: int, epoch: int) -> Batch:
-    if not pairs:
-        raise ValueError("a batch must contain at least one pair")
-    return Batch(
-        pairs=tuple(pairs),
-        padded_src=max(p.src_len for p in pairs),
-        padded_tgt=max(p.tgt_len for p in pairs),
-        iteration_index=iteration,
-        epoch_index=epoch,
-    )
-
-
 def epoch_shuffle_seed(base_seed: int, epoch: int) -> int:
     """Derive the shuffle seed for one epoch from the run seed.
 
@@ -107,148 +92,51 @@ def epoch_shuffle_seed(base_seed: int, epoch: int) -> int:
 
 
 def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> tuple[SentencePair, ...]:
-    """The deterministic pair order one epoch iterates over under a policy."""
+    """The pairs in the order one epoch emits them under a policy.
+
+    The epoch's shuffle is stable-sorted by (src_len, tgt_len) within
+    consecutive blocks of m*k pairs (partial_sort), m pairs (unsorted) or the
+    whole epoch (full_sort). Blocks are clamped to the corpus size.
+    """
     shuffled = shuffle(corpus, epoch_shuffle_seed(config.seed, epoch))
+    n = len(shuffled)
     if config.policy == FULL_SORT:
-        return tuple(sorted(shuffled.pairs, key=SORT_KEY))
-    return shuffled.pairs
-
-
-class EpochLoader:
-    """State machine over one epoch's pre-arranged pair order.
-
-    Exposes the loader state directly: `buffer` (sorted ascending by
-    (src_len, tgt_len) after every refill), `cursor` (index of the next
-    unread pair in `order`), and `iteration` (batches emitted so far).
-    Single-consumer: not safe for concurrent mutation.
-    """
-
-    def __init__(
-        self,
-        order: Sequence[SentencePair],
-        m: int,
-        k: int,
-        drop_last: bool = False,
-        epoch_index: int = 0,
-    ) -> None:
-        if m < 1:
-            raise ValueError(f"batch size m must be >= 1, got {m}")
-        if k < 1:
-            raise ValueError(f"look-ahead k must be >= 1, got {k}")
-        self.order = tuple(order)
-        self.m = m
-        self.k = k
-        self.drop_last = drop_last
-        self.epoch_index = epoch_index
-        self.buffer: list[SentencePair] = []
-        self.cursor = 0
-        self.iteration = 0
-
-    def refill(self) -> None:
-        """Top the buffer up to m*k pairs (or corpus exhaustion) and sort it.
-
-        Retained leftovers count toward the m*k target, so the buffer never
-        exceeds m*k pairs. The sort is stable, so equal-length pairs keep
-        their pre-sort order.
-        """
-        if len(self.buffer) >= self.m:
-            raise ValueError("refill requires fewer than m buffered pairs")
-        take = min(self.m * self.k - len(self.buffer), len(self.order) - self.cursor)
-        if take > 0:
-            self.buffer.extend(self.order[self.cursor : self.cursor + take])
-            self.cursor += take
-        self.buffer.sort(key=SORT_KEY)
-
-    def next_batch(self) -> Batch | None:
-        """Emit the next batch, refilling first if needed; None ends the epoch.
-
-        A final short batch is emitted unless drop_last is set, in which case
-        it is discarded and the epoch ends.
-        """
-        if len(self.buffer) < self.m and self.cursor < len(self.order):
-            self.refill()
-        if not self.buffer:
-            return None
-        popped = self.buffer[: self.m]
-        del self.buffer[: self.m]
-        if len(popped) < self.m and self.drop_last:
-            return None
-        batch = _make_batch(popped, self.iteration, self.epoch_index)
-        self.iteration += 1
-        return batch
-
-    def __iter__(self) -> Iterator[Batch]:
-        while (batch := self.next_batch()) is not None:
-            yield batch
-
-
-class Loader:
-    """Multi-epoch loader over a corpus under a BatchPlanConfig.
-
-    Construction validates the inputs and prepares epoch 0: the corpus is
-    shuffled with the epoch-derived seed, the buffer is empty, and the cursor
-    is at 0. `start_epoch` rewinds or advances to any epoch deterministically.
-    """
-
-    def __init__(self, corpus: Corpus, config: BatchPlanConfig) -> None:
-        if not corpus.pairs:
-            raise ValueError("cannot batch an empty corpus")
-        if config.drop_last and config.m > len(corpus.pairs):
-            raise ValueError(
-                f"batch size {config.m} exceeds corpus size {len(corpus.pairs)} with drop_last"
-            )
-        self.corpus = corpus
-        self.config = config
-        self._run = self._make_run(0)
-
-    def _make_run(self, epoch: int) -> EpochLoader:
-        lookahead = self.config.k if self.config.policy == PARTIAL_SORT else 1
-        return EpochLoader(
-            epoch_order(self.corpus, self.config, epoch),
-            self.config.m,
-            lookahead,
-            drop_last=self.config.drop_last,
-            epoch_index=epoch,
-        )
-
-    @property
-    def buffer(self) -> tuple[SentencePair, ...]:
-        return tuple(self._run.buffer)
-
-    @property
-    def cursor(self) -> int:
-        return self._run.cursor
-
-    @property
-    def iteration(self) -> int:
-        return self._run.iteration
-
-    @property
-    def epoch(self) -> int:
-        return self._run.epoch_index
-
-    def start_epoch(self, epoch: int) -> None:
-        if not 0 <= epoch < self.config.epochs:
-            raise ValueError(f"epoch {epoch} outside configured range [0, {self.config.epochs})")
-        self._run = self._make_run(epoch)
-
-    def next_batch(self) -> Batch | None:
-        """Next batch of the current epoch, or None at end of epoch."""
-        return self._run.next_batch()
-
-    def __iter__(self) -> Iterator[Batch]:
-        """All remaining batches of the current epoch, then subsequent epochs."""
-        start = self.epoch
-        for epoch in range(start, self.config.epochs):
-            if epoch != start:
-                self.start_epoch(epoch)
-            while (batch := self.next_batch()) is not None:
-                yield batch
+        block = n
+    elif config.policy == UNSORTED:
+        block = min(config.m, n)
+    else:
+        block = min(config.m * config.k, n)
+    keys = (shuffled.tgt_lengths(), shuffled.src_lengths(), np.arange(n) // block)
+    return tuple(shuffled.pairs[i] for i in np.lexsort(keys).tolist())
 
 
 def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> list[Batch]:
-    """Concatenated batch stream of all configured epochs."""
-    return list(Loader(corpus, config))
+    """Concatenated batch stream of all configured epochs.
+
+    Each epoch's order is cut into batches of m. A final short batch is
+    emitted unless drop_last is set, in which case it is discarded.
+    """
+    n = len(corpus.pairs)
+    if n == 0:
+        raise ValueError("cannot batch an empty corpus")
+    if config.drop_last and config.m > n:
+        raise ValueError(f"batch size {config.m} exceeds corpus size {n} with drop_last")
+    stop = n - n % config.m if config.drop_last else n
+    batches = []
+    for epoch in range(config.epochs):
+        order = epoch_order(corpus, config, epoch)
+        for iteration, start in enumerate(range(0, stop, config.m)):
+            pairs = order[start : start + config.m]
+            batches.append(
+                Batch(
+                    pairs=pairs,
+                    padded_src=max(p.src_len for p in pairs),
+                    padded_tgt=max(p.tgt_len for p in pairs),
+                    iteration_index=iteration,
+                    epoch_index=epoch,
+                )
+            )
+    return batches
 
 
 # ---------------------------------------------------------------------------

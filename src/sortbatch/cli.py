@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -141,18 +141,7 @@ def _sweep_record(spec: SweepSpec, digest: str) -> dict:
     if spec.corpus_path is not None:
         source = {"path": str(spec.corpus_path)}
     else:
-        s = spec.synth
-        source = {
-            "synth": {
-                "n": s.n,
-                "mean_src": s.mean_src,
-                "std_src": s.std_src,
-                "max_len": s.max_len,
-                "pair_diff_mean": s.pair_diff_mean,
-                "length_dist": s.length_dist,
-                "seed": s.seed,
-            }
-        }
+        source = {"synth": asdict(spec.synth)}
     return {
         "m": spec.m,
         "k_values": [_k_text(k) for k in spec.k_values],

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Sequence
@@ -262,17 +262,8 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
     baseline = next((row for row in rows if row.policy == UNSORTED), None)
     if baseline is not None:
         rows = [
-            ComparisonRow(
-                policy=row.policy,
-                k_label=row.k_label,
-                n_runs=row.n_runs,
-                avg_padded_src=row.avg_padded_src,
-                avg_padded_tgt=row.avg_padded_tgt,
-                waste_src=row.waste_src,
-                waste_tgt=row.waste_tgt,
-                linear_cost=row.linear_cost,
-                quadratic_cost=row.quadratic_cost,
-                cross_cost=row.cross_cost,
+            replace(
+                row,
                 ratio_avg_src=row.avg_padded_src / baseline.avg_padded_src,
                 ratio_avg_tgt=row.avg_padded_tgt / baseline.avg_padded_tgt,
                 ratio_waste_src=_safe_ratio(row.waste_src, baseline.waste_src),
@@ -299,17 +290,6 @@ def _safe_ratio(value: float, base: float) -> float | None:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def _config_to_dict(config: BatchPlanConfig) -> dict:
-    return {
-        "m": config.m,
-        "k": config.k,
-        "policy": config.policy,
-        "seed": config.seed,
-        "drop_last": config.drop_last,
-        "epochs": config.epochs,
-    }
 
 
 def _record_to_dict(record: BatchCostRecord) -> dict:
@@ -339,7 +319,7 @@ def _record_from_dict(d: dict) -> BatchCostRecord:
 
 def report_to_dict(report: RunReport) -> dict:
     d = {
-        "config": _config_to_dict(report.config),
+        "config": asdict(report.config),
         "corpus_hash": report.corpus_hash,
         "avg_definition": report.avg_definition,
         "per_batch": [_record_to_dict(r) for r in report.per_batch],
@@ -363,12 +343,31 @@ def report_to_dict(report: RunReport) -> dict:
     return d
 
 
+def _check_keys(d: object, cls: type, what: str) -> None:
+    """Raise ValueError unless d is a dict with every required field of cls
+    and no key that is not a field of cls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    names = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    missing = sorted(required - d.keys())
+    if missing:
+        raise ValueError(f"{what} is missing keys {missing}")
+    unknown = sorted(d.keys() - names)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+
+
 def report_from_dict(d: dict) -> RunReport:
-    fields = {k: v for k, v in d.items() if k not in ("config", "per_batch")}
+    """Inverse of report_to_dict; raises ValueError on missing or unknown
+    top-level or config keys."""
+    _check_keys(d, RunReport, "report")
+    _check_keys(d["config"], BatchPlanConfig, "report config")
+    rest = {k: v for k, v in d.items() if k not in ("config", "per_batch")}
     return RunReport(
         config=BatchPlanConfig(**d["config"]),
         per_batch=tuple(_record_from_dict(r) for r in d["per_batch"]),
-        **fields,
+        **rest,
     )
 
 
@@ -380,30 +379,34 @@ def write_report_json(report: RunReport, path: str | Path) -> None:
 
 def read_report_json(path: str | Path) -> RunReport:
     with open(path, encoding="utf-8") as handle:
-        return report_from_dict(json.load(handle))
+        try:
+            return report_from_dict(json.load(handle))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # Table rendering
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "policy",
-    "k",
-    "runs",
-    "avg_padded_src",
-    "avg_padded_tgt",
-    "waste_src",
-    "waste_tgt",
-    "linear_cost",
-    "quadratic_cost",
-    "cross_cost",
-    "ratio_avg_src",
-    "ratio_avg_tgt",
-    "ratio_waste_src",
-    "ratio_waste_tgt",
-    "ratio_linear",
-    "ratio_quadratic",
+#: (column name in comparison.csv and comparison.json, ComparisonRow attribute)
+_COLUMNS = (
+    ("policy", "policy"),
+    ("k", "k_label"),
+    ("runs", "n_runs"),
+    ("avg_padded_src", "avg_padded_src"),
+    ("avg_padded_tgt", "avg_padded_tgt"),
+    ("waste_src", "waste_src"),
+    ("waste_tgt", "waste_tgt"),
+    ("linear_cost", "linear_cost"),
+    ("quadratic_cost", "quadratic_cost"),
+    ("cross_cost", "cross_cost"),
+    ("ratio_avg_src", "ratio_avg_src"),
+    ("ratio_avg_tgt", "ratio_avg_tgt"),
+    ("ratio_waste_src", "ratio_waste_src"),
+    ("ratio_waste_tgt", "ratio_waste_tgt"),
+    ("ratio_linear", "ratio_linear"),
+    ("ratio_quadratic", "ratio_quadratic"),
 )
 
 
@@ -419,27 +422,9 @@ def _fmt(value: float | int | str | None, spec: str = ".6f") -> str:
 
 def comparison_to_csv(comparison: CostComparison) -> str:
     """Comparison table as CSV text; floats fixed to 6 decimals."""
-    lines = [",".join(_CSV_COLUMNS)]
+    lines = [",".join(column for column, _ in _COLUMNS)]
     for row in comparison.rows:
-        cells = (
-            row.policy,
-            row.k_label,
-            row.n_runs,
-            row.avg_padded_src,
-            row.avg_padded_tgt,
-            row.waste_src,
-            row.waste_tgt,
-            row.linear_cost,
-            row.quadratic_cost,
-            row.cross_cost,
-            row.ratio_avg_src,
-            row.ratio_avg_tgt,
-            row.ratio_waste_src,
-            row.ratio_waste_tgt,
-            row.ratio_linear,
-            row.ratio_quadratic,
-        )
-        lines.append(",".join(_fmt(cell) for cell in cells))
+        lines.append(",".join(_fmt(getattr(row, attr)) for _, attr in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -463,10 +448,7 @@ def comparison_to_markdown(comparison: CostComparison) -> str:
 
 
 def comparison_to_json(comparison: CostComparison) -> str:
-    rows = []
-    for row in comparison.rows:
-        record = {col: getattr(row, attr) for col, attr in _JSON_FIELDS}
-        rows.append(record)
+    rows = [{column: getattr(row, attr) for column, attr in _COLUMNS} for row in comparison.rows]
     payload = {
         "m": comparison.m,
         "corpus_hash": comparison.corpus_hash,
@@ -475,27 +457,3 @@ def comparison_to_json(comparison: CostComparison) -> str:
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-
-_JSON_FIELDS = tuple(
-    zip(
-        _CSV_COLUMNS,
-        (
-            "policy",
-            "k_label",
-            "n_runs",
-            "avg_padded_src",
-            "avg_padded_tgt",
-            "waste_src",
-            "waste_tgt",
-            "linear_cost",
-            "quadratic_cost",
-            "cross_cost",
-            "ratio_avg_src",
-            "ratio_avg_tgt",
-            "ratio_waste_src",
-            "ratio_waste_tgt",
-            "ratio_linear",
-            "ratio_quadratic",
-        ),
-    )
-)

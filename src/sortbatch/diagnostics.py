@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -284,14 +284,7 @@ def iid_report_to_dict(report: IIDReport, include_cycles: bool = False) -> dict:
             ]
     return {
         "metric_tag": report.metric_tag,
-        "config": {
-            "m": report.config.m,
-            "k": report.config.k,
-            "policy": report.config.policy,
-            "seed": report.config.seed,
-            "drop_last": report.config.drop_last,
-            "epochs": report.config.epochs,
-        },
+        "config": asdict(report.config),
         "series_mean": report.series_mean,
         "series_std": report.series_std,
         "degenerate": report.autocorr.degenerate,

@@ -1,16 +1,15 @@
-"""Loader state machine: refill/pop mechanics, policies, epochs, determinism."""
+"""Loader: block-sorted epoch order, batching, policies, epochs, determinism."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sortbatch.batcher import (
     FULL_SORT,
     PARTIAL_SORT,
+    POLICIES,
     UNSORTED,
     BatchPlanConfig,
-    EpochLoader,
-    Loader,
     batch_record,
     epoch_order,
     epoch_shuffle_seed,
@@ -18,13 +17,10 @@ from sortbatch.batcher import (
     run_epochs,
     write_batches_jsonl,
 )
-from sortbatch.corpus import SentencePair, shuffle
+from sortbatch.corpus import Corpus, SentencePair, filter_max_len, shuffle
 
-from .helpers import corpus_and_config, make_corpus
-
-
-def pairs_of(*lengths):
-    return [SentencePair(id=i, src_len=s, tgt_len=t) for i, (s, t) in enumerate(lengths)]
+from .helpers import corpora, corpus_and_config, make_corpus
+from .reference_loader import reference_batches
 
 
 def stream_signature(batches):
@@ -47,117 +43,79 @@ def test_config_validation():
         BatchPlanConfig(m=1, epochs=0)
 
 
-def test_new_loader_starts_empty():
-    corpus = make_corpus(range(1, 11))
-    loader = Loader(corpus, BatchPlanConfig(m=4, k=2))
-    assert loader.buffer == ()
-    assert loader.cursor == 0
-    assert loader.iteration == 0
-
-
 def test_new_loader_rejects_empty_corpus():
-    from sortbatch.corpus import Corpus
-
-    with pytest.raises(ValueError):
-        Loader(Corpus(()), BatchPlanConfig(m=2))
+    with pytest.raises(ValueError, match="empty corpus"):
+        run_epochs(Corpus(()), BatchPlanConfig(m=2))
 
 
 def test_new_loader_rejects_drop_last_larger_than_corpus():
-    with pytest.raises(ValueError):
-        Loader(make_corpus([1, 2]), BatchPlanConfig(m=3, drop_last=True))
+    with pytest.raises(ValueError, match="exceeds corpus size"):
+        run_epochs(make_corpus([1, 2]), BatchPlanConfig(m=3, drop_last=True))
 
 
 # ---------------------------------------------------------------------------
-# refill
+# block sort (what one refill of the paper's buffer does)
 # ---------------------------------------------------------------------------
 
 
 def test_refill_sorts_buffer():
-    loader = EpochLoader(pairs_of((5, 5), (1, 1), (3, 3), (2, 2)), m=2, k=2)
-    loader.refill()
-    assert [(p.src_len, p.tgt_len) for p in loader.buffer] == [(1, 1), (2, 2), (3, 3), (5, 5)]
-    assert loader.cursor == 4
-
-
-def test_refill_merges_leftovers_up_to_target():
-    loader = EpochLoader(pairs_of((2, 2), (8, 8), (4, 4)), m=2, k=2)
-    loader.buffer = [SentencePair(id=99, src_len=9, tgt_len=9)]
-    loader.refill()
-    assert [p.src_len for p in loader.buffer] == [2, 4, 8, 9]
-    assert loader.cursor == 3
-
-
-def test_refill_on_exhausted_corpus_keeps_leftover():
-    loader = EpochLoader([], m=2, k=2)
-    loader.buffer = [SentencePair(id=0, src_len=7, tgt_len=7)]
-    loader.refill()
-    assert [p.src_len for p in loader.buffer] == [7]
-
-
-def test_refill_requires_room():
-    loader = EpochLoader(pairs_of((1, 1), (2, 2), (3, 3)), m=2, k=2)
-    loader.refill()
-    with pytest.raises(ValueError):
-        loader.refill()
+    corpus = make_corpus([(5, 5), (1, 1), (3, 3), (2, 2)])
+    order = epoch_order(corpus, BatchPlanConfig(m=2, k=2), 0)  # one block of m*k = n
+    assert [(p.src_len, p.tgt_len) for p in order] == [(1, 1), (2, 2), (3, 3), (5, 5)]
 
 
 def test_refill_sort_is_stable_on_ties():
-    order = [
-        SentencePair(id=0, src_len=3, tgt_len=1),
-        SentencePair(id=1, src_len=3, tgt_len=1),
-        SentencePair(id=2, src_len=1, tgt_len=1),
-    ]
-    loader = EpochLoader(order, m=3, k=1)
-    loader.refill()
-    assert [p.id for p in loader.buffer] == [2, 0, 1]
+    corpus = Corpus(
+        (
+            SentencePair(id=0, src_len=3, tgt_len=1),
+            SentencePair(id=1, src_len=3, tgt_len=1),
+            SentencePair(id=2, src_len=1, tgt_len=1),
+        )
+    )
+    config = BatchPlanConfig(m=3, k=1, seed=5)  # this seed shuffles id 1 ahead of id 0
+    shuffled = [p.id for p in shuffle(corpus, epoch_shuffle_seed(5, 0)).pairs]
+    assert [p.id for p in epoch_order(corpus, config, 0)] == [2] + [i for i in shuffled if i != 2]
 
 
 def test_refill_sorts_by_target_on_equal_source():
-    loader = EpochLoader(pairs_of((2, 9), (2, 1), (2, 5)), m=3, k=1)
-    loader.refill()
-    assert [p.tgt_len for p in loader.buffer] == [1, 5, 9]
+    corpus = make_corpus([(2, 9), (2, 1), (2, 5)])
+    order = epoch_order(corpus, BatchPlanConfig(m=3, k=1), 0)
+    assert [p.tgt_len for p in order] == [1, 5, 9]
 
 
 # ---------------------------------------------------------------------------
-# next_batch
+# batching
 # ---------------------------------------------------------------------------
 
 
 def test_next_batch_pops_sorted_prefix():
-    loader = EpochLoader(pairs_of((5, 5), (1, 1), (3, 3), (2, 2)), m=2, k=2)
-    b1 = loader.next_batch()
-    assert sorted(p.src_len for p in b1.pairs) == [1, 2]
-    assert b1.padded_src == 2
-    b2 = loader.next_batch()
-    assert sorted(p.src_len for p in b2.pairs) == [3, 5]
-    assert b2.padded_src == 5
-    assert loader.next_batch() is None
+    batches = run_epochs(make_corpus([(5, 5), (1, 1), (3, 3), (2, 2)]), BatchPlanConfig(m=2, k=2))
+    assert [[p.src_len for p in b.pairs] for b in batches] == [[1, 2], [3, 5]]
+    assert [b.padded_src for b in batches] == [2, 5]
 
 
 def test_k1_single_batch_is_plain_chunk():
-    loader = EpochLoader(pairs_of((4, 4), (1, 1), (2, 2)), m=3, k=1)
-    batch = loader.next_batch()
+    config = BatchPlanConfig(m=3, policy=UNSORTED)
+    (batch,) = run_epochs(make_corpus([(4, 4), (1, 1), (2, 2)]), config)
     assert {p.src_len for p in batch.pairs} == {4, 1, 2}
     assert batch.padded_src == 4
 
 
 def test_short_final_batch_emitted_by_default():
-    loader = EpochLoader(pairs_of(*[(i, i) for i in range(1, 6)]), m=2, k=1)
-    sizes = [len(b.pairs) for b in loader]
-    assert sizes == [2, 2, 1]
+    batches = run_epochs(make_corpus(range(1, 6)), BatchPlanConfig(m=2, policy=UNSORTED))
+    assert [len(b.pairs) for b in batches] == [2, 2, 1]
 
 
 def test_drop_last_discards_short_batch():
-    loader = EpochLoader(pairs_of(*[(i, i) for i in range(1, 6)]), m=2, k=1, drop_last=True)
-    sizes = [len(b.pairs) for b in loader]
-    assert sizes == [2, 2]
+    config = BatchPlanConfig(m=2, policy=UNSORTED, drop_last=True, epochs=2)
+    batches = run_epochs(make_corpus(range(1, 6)), config)
+    assert [(b.epoch_index, len(b.pairs)) for b in batches] == [(0, 2), (0, 2), (1, 2), (1, 2)]
 
 
 def test_iteration_indices_are_sequential():
-    loader = EpochLoader(pairs_of(*[(i, i) for i in range(1, 9)]), m=2, k=2, epoch_index=3)
-    batches = list(loader)
-    assert [b.iteration_index for b in batches] == [0, 1, 2, 3]
-    assert all(b.epoch_index == 3 for b in batches)
+    batches = run_epochs(make_corpus(range(1, 9)), BatchPlanConfig(m=2, k=2, epochs=2))
+    assert [b.iteration_index for b in batches] == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert [b.epoch_index for b in batches] == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +165,6 @@ def test_unsorted_equals_k1_partial_sort():
     assert [{p.id for p in x.pairs} for x in a] == [{p.id for p in x.pairs} for x in b]
 
 
-def test_start_epoch_rewinds_deterministically():
-    corpus = make_corpus([(i % 6 + 1, i % 6 + 1) for i in range(18)])
-    config = BatchPlanConfig(m=3, k=2, seed=8, epochs=2)
-    loader = Loader(corpus, config)
-    epoch0 = []
-    while (b := loader.next_batch()) is not None:
-        epoch0.append(b)
-    loader.start_epoch(0)
-    replay = []
-    while (b := loader.next_batch()) is not None:
-        replay.append(b)
-    assert stream_signature(epoch0) == stream_signature(replay)
-    with pytest.raises(ValueError):
-        loader.start_epoch(2)
-
-
 def test_epoch_shuffle_seed_distinct_and_stable():
     seeds = {epoch_shuffle_seed(42, e) for e in range(50)}
     assert len(seeds) == 50
@@ -230,10 +172,18 @@ def test_epoch_shuffle_seed_distinct_and_stable():
 
 
 def test_epoch_order_matches_shuffle_permutation():
-    corpus = make_corpus([(i % 5 + 1, i % 3 + 1) for i in range(12)])
-    config = BatchPlanConfig(m=3, k=2, seed=4)
-    expected = shuffle(corpus, epoch_shuffle_seed(4, 0)).pairs
-    assert epoch_order(corpus, config, 0) == expected
+    """The epoch's shuffle, stable-sorted within blocks: m*k pairs for a
+    partial sort, m for unsorted, the whole epoch for a full sort."""
+    corpus = make_corpus([(i % 5 + 1, i % 3 + 1) for i in range(14)])
+    shuffled = shuffle(corpus, epoch_shuffle_seed(4, 1)).pairs
+    for policy, block in ((PARTIAL_SORT, 6), (UNSORTED, 3), (FULL_SORT, 14)):
+        config = BatchPlanConfig(m=3, k=2, policy=policy, seed=4)
+        expected = [
+            pair
+            for start in range(0, 14, block)
+            for pair in sorted(shuffled[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
+        ]
+        assert epoch_order(corpus, config, 1) == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +235,27 @@ def test_cycle_padded_src_non_decreasing(case):
 def test_cycles_have_exactly_k_batches_when_divisible():
     corpus = make_corpus([(i % 10 + 1, i % 10 + 1) for i in range(24)])  # n = m*k*2
     config = BatchPlanConfig(m=4, k=3, policy=PARTIAL_SORT, seed=1)
-    loader = Loader(corpus, config)
-    refill_points = []
-    emitted = 0
-    while True:
-        before = loader.cursor
-        batch = loader.next_batch()
-        if batch is None:
-            break
-        if loader.cursor != before:
-            refill_points.append(emitted)
-        emitted += 1
-    assert refill_points == [0, 3]  # refills at batch 0 and batch k
+    batches = run_epochs(corpus, config)
+    shuffled = shuffle(corpus, epoch_shuffle_seed(1, 0)).pairs
+    assert len(batches) == 6
+    for cycle in range(2):  # batches k*c .. k*c+k-1 hold shuffled pairs m*k*c .. m*k*(c+1)-1
+        emitted = {p.id for b in batches[3 * cycle : 3 * cycle + 3] for p in b.pairs}
+        assert emitted == {p.id for p in shuffled[12 * cycle : 12 * cycle + 12]}
 
 
 @given(corpus_and_config(policies=(PARTIAL_SORT, UNSORTED)))
 @settings(max_examples=60, deadline=None)
 def test_buffer_never_exceeds_capacity(case):
+    """The look-ahead never reaches past one buffer of m*k pairs: the i-th
+    pair emitted comes from the same block of the shuffle as position i."""
     corpus, config = case
-    loader = Loader(corpus, config)
     cap = config.m * (config.k if config.policy == PARTIAL_SORT else 1)
-    while loader.next_batch() is not None:
-        assert len(loader.buffer) <= cap
-        assert loader.cursor <= len(corpus.pairs)
+    batches = run_epochs(corpus, config)
+    for epoch in range(config.epochs):
+        shuffled = shuffle(corpus, epoch_shuffle_seed(config.seed, epoch)).pairs
+        block_of = {p.id: i // cap for i, p in enumerate(shuffled)}
+        emitted = [p.id for b in batches if b.epoch_index == epoch for p in b.pairs]
+        assert [block_of[i] for i in emitted] == [i // cap for i in range(len(emitted))]
 
 
 @given(corpus_and_config(policies=(UNSORTED,)))
@@ -320,6 +268,42 @@ def test_k1_membership_equals_chunking(case):
     if config.drop_last and len(chunks[-1]) < config.m:
         chunks = chunks[:-1]
     assert [{p.id for p in b.pairs} for b in batches] == [{p.id for p in c} for c in chunks]
+
+
+@st.composite
+def reference_cases(draw):
+    """Corpus and config, with filtered corpora (gaps in the ids) and a
+    look-ahead far beyond any corpus size."""
+    corpus = draw(corpora)
+    if draw(st.booleans()):
+        corpus = filter_max_len(corpus, draw(st.integers(1, 30)))
+        assume(corpus.pairs)
+    m = draw(st.integers(1, 8))
+    config = BatchPlanConfig(
+        m=m,
+        k=draw(st.one_of(st.integers(1, 6), st.just(10**30))),
+        policy=draw(st.sampled_from(POLICIES)),
+        seed=draw(st.integers(0, 2**31)),
+        drop_last=draw(st.booleans()) and m <= len(corpus.pairs),
+        epochs=draw(st.integers(1, 2)),
+    )
+    return corpus, config
+
+
+@given(reference_cases())
+@settings(max_examples=150, deadline=None)
+def test_run_epochs_matches_reference(case):
+    corpus, config = case
+    expected = reference_batches(
+        corpus,
+        config.m,
+        1 if config.policy == UNSORTED else config.k,
+        config.seed,
+        epochs=config.epochs,
+        drop_last=config.drop_last,
+        full_sort=config.policy == FULL_SORT,
+    )
+    assert stream_signature(run_epochs(corpus, config)) == expected
 
 
 @given(st.integers(0, 2**31))

@@ -287,6 +287,25 @@ def test_report_empty_dir_is_data_error(tmp_path, capsys):
     assert "report.json" in err
 
 
+def test_report_malformed_report_is_data_error(corpus_file, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "report.json").write_text('{"corpus_hash": null, "per_batch": []}', encoding="utf-8")
+    code, _, err = run(["report", str(bad)], capsys)
+    assert code == EXIT_DATA
+    assert "config" in err
+
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)
+    path = out / "run_k1_seed0" / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    del report["config"]["m"]
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, _, err = run(["report", str(out)], capsys)
+    assert code == EXIT_DATA
+    assert "'m'" in err
+
+
 def test_report_json_format(corpus_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)
