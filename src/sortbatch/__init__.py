@@ -14,6 +14,7 @@ from .batcher import (
     UNSORTED,
     Batch,
     BatchPlanConfig,
+    BatchStream,
     epoch_order,
     epoch_shuffle_seed,
     run_epochs,
@@ -60,6 +61,7 @@ __all__ = [
     "POLICIES",
     "Batch",
     "BatchPlanConfig",
+    "BatchStream",
     "epoch_order",
     "epoch_shuffle_seed",
     "run_epochs",

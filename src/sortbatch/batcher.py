@@ -11,7 +11,8 @@ batches of m; this module computes it that way, with one stable sort per
 epoch. k=1 ("unsorted") sorts within blocks of m, which keeps the batches of
 plain chunking of the shuffled corpus; "full_sort" sorts the whole epoch as
 one block. Ties keep their shuffled order. Nothing carries across epochs:
-each epoch gets a fresh permutation derived from (seed, epoch).
+each epoch gets a fresh permutation derived from (seed, epoch). A run is
+returned as one BatchStream of integer columns, not as per-pair objects.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "POLICIES",
     "BatchPlanConfig",
     "Batch",
+    "BatchStream",
     "epoch_shuffle_seed",
     "epoch_order",
     "run_epochs",
@@ -74,11 +76,83 @@ class BatchPlanConfig:
 class Batch:
     """Pairs emitted in one iteration plus the padded dimensions they imply."""
 
-    pairs: tuple[SentencePair, ...]
+    pairs: Sequence[SentencePair]
     padded_src: int
     padded_tgt: int
     iteration_index: int
     epoch_index: int
+
+
+@dataclass(frozen=True, eq=False)
+class BatchStream(Sequence[Batch]):
+    """A run's batches as int64 columns, in the order they are emitted.
+
+    The pairs of all batches lie end to end in ids/src/tgt; batch b holds the
+    rows from starts[b] up to the next start (the last batch, up to the end).
+    Per batch: padded_src/padded_tgt are the member maxima, epoch and
+    iteration its position. Indexing and iteration build Batch views whose
+    pairs are SentencePair values made on access.
+    """
+
+    ids: np.ndarray
+    src: np.ndarray
+    tgt: np.ndarray
+    starts: np.ndarray
+    padded_src: np.ndarray
+    padded_tgt: np.ndarray
+    epoch: np.ndarray
+    iteration: np.ndarray
+
+    @classmethod
+    def of(cls, batches: Sequence[Batch]) -> BatchStream:
+        """The stream itself, or the columns of a plain sequence of batches."""
+        if isinstance(batches, cls):
+            return batches
+        pairs = [(p.id, p.src_len, p.tgt_len) for b in batches for p in b.pairs]
+        ids, src, tgt = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+        per_batch = [
+            (b.padded_src, b.padded_tgt, b.epoch_index, b.iteration_index, len(b.pairs)) for b in batches
+        ]
+        padded_src, padded_tgt, epoch, iteration, sizes = np.array(per_batch, dtype=np.int64).reshape(-1, 5).T
+        return cls(ids, src, tgt, np.cumsum(sizes) - sizes, padded_src, padded_tgt, epoch, iteration)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts, append=len(self.ids))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[b] for b in range(len(self))[index]]
+        b = range(len(self))[index]
+        stop = self.starts[b + 1] if b + 1 < len(self) else len(self.ids)
+        return Batch(
+            pairs=_Members(self, range(self.starts[b], stop)),
+            padded_src=int(self.padded_src[b]),
+            padded_tgt=int(self.padded_tgt[b]),
+            iteration_index=int(self.iteration[b]),
+            epoch_index=int(self.epoch[b]),
+        )
+
+
+class _Members(Sequence[SentencePair]):
+    """The pairs of one stream batch, made as SentencePair values on access."""
+
+    def __init__(self, stream: BatchStream, rows: range) -> None:
+        self._stream = stream
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        rows = self._rows[index]
+        if isinstance(rows, range):
+            return tuple(self[i] for i in range(len(self))[index])
+        s = self._stream
+        return SentencePair(int(s.ids[rows]), int(s.src[rows]), int(s.tgt[rows]))
 
 
 def epoch_shuffle_seed(base_seed: int, epoch: int) -> int:
@@ -91,8 +165,8 @@ def epoch_shuffle_seed(base_seed: int, epoch: int) -> int:
     return int(sequence.generate_state(1)[0])
 
 
-def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> tuple[SentencePair, ...]:
-    """The pairs in the order one epoch emits them under a policy.
+def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> Corpus:
+    """The corpus in the order one epoch emits it under a policy.
 
     The epoch's shuffle is stable-sorted by (src_len, tgt_len) within
     consecutive blocks of m*k pairs (partial_sort), m pairs (unsorted) or the
@@ -106,37 +180,41 @@ def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> tuple[Se
         block = min(config.m, n)
     else:
         block = min(config.m * config.k, n)
-    keys = (shuffled.tgt_lengths(), shuffled.src_lengths(), np.arange(n) // block)
-    return tuple(shuffled.pairs[i] for i in np.lexsort(keys).tolist())
+    src, tgt, full = shuffled.src, shuffled.tgt, n - n % block
+    # One row per whole block, each sorted on its own; the short tail is the last block.
+    head = np.lexsort((tgt[:full].reshape(-1, block), src[:full].reshape(-1, block)))
+    head += np.arange(0, full, block)[:, None]
+    order = np.concatenate([head.ravel(), np.lexsort((tgt[full:], src[full:])) + full])
+    return shuffled.take(order, shuffled.max_len_filter, shuffled.shuffle_seed)
 
 
-def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> list[Batch]:
+def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> BatchStream:
     """Concatenated batch stream of all configured epochs.
 
     Each epoch's order is cut into batches of m. A final short batch is
     emitted unless drop_last is set, in which case it is discarded.
     """
-    n = len(corpus.pairs)
+    n = len(corpus)
     if n == 0:
         raise ValueError("cannot batch an empty corpus")
     if config.drop_last and config.m > n:
         raise ValueError(f"batch size {config.m} exceeds corpus size {n} with drop_last")
     stop = n - n % config.m if config.drop_last else n
-    batches = []
-    for epoch in range(config.epochs):
-        order = epoch_order(corpus, config, epoch)
-        for iteration, start in enumerate(range(0, stop, config.m)):
-            pairs = order[start : start + config.m]
-            batches.append(
-                Batch(
-                    pairs=pairs,
-                    padded_src=max(p.src_len for p in pairs),
-                    padded_tgt=max(p.tgt_len for p in pairs),
-                    iteration_index=iteration,
-                    epoch_index=epoch,
-                )
-            )
-    return batches
+    orders = [epoch_order(corpus, config, epoch) for epoch in range(config.epochs)]
+    src = np.concatenate([order.src[:stop] for order in orders])
+    tgt = np.concatenate([order.tgt[:stop] for order in orders])
+    per_epoch = np.arange(0, stop, config.m)
+    starts = (stop * np.arange(config.epochs)[:, None] + per_epoch).ravel()
+    return BatchStream(
+        ids=np.concatenate([order.ids[:stop] for order in orders]),
+        src=src,
+        tgt=tgt,
+        starts=starts,
+        padded_src=np.maximum.reduceat(src, starts),
+        padded_tgt=np.maximum.reduceat(tgt, starts),
+        epoch=np.repeat(np.arange(config.epochs), len(per_epoch)),
+        iteration=np.tile(np.arange(len(per_epoch)), config.epochs),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +222,31 @@ def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> list[Batch]:
 # ---------------------------------------------------------------------------
 
 
+def _records(stream: BatchStream) -> Iterator[dict]:
+    ids = stream.ids.tolist()
+    bounds = [*stream.starts.tolist(), len(ids)]
+    columns = (stream.epoch, stream.iteration, stream.padded_src, stream.padded_tgt)
+    for b, (epoch, iteration, padded_src, padded_tgt) in enumerate(zip(*(c.tolist() for c in columns))):
+        yield {
+            "epoch": epoch,
+            "iteration": iteration,
+            "ids": ids[bounds[b] : bounds[b + 1]],
+            "padded_src": padded_src,
+            "padded_tgt": padded_tgt,
+        }
+
+
 def batch_record(batch: Batch) -> dict:
     """Wire-format record for one batch."""
-    return {
-        "epoch": batch.epoch_index,
-        "iteration": batch.iteration_index,
-        "ids": [p.id for p in batch.pairs],
-        "padded_src": batch.padded_src,
-        "padded_tgt": batch.padded_tgt,
-    }
+    return next(_records(BatchStream.of([batch])))
 
 
 def write_batches_jsonl(batches: Sequence[Batch], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for batch in batches:
-            handle.write(json.dumps(batch_record(batch)) + "\n")
+        for record in _records(BatchStream.of(batches)):
+            handle.write(json.dumps(record) + "\n")
 
 
 def read_batches_jsonl(path: str | Path) -> list[dict]:
-    records = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
+        return [json.loads(line) for line in handle if line.strip()]

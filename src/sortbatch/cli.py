@@ -251,17 +251,8 @@ _STAT_FIELDS = (
 
 
 def _stat_values(stats: LengthStats, corpus: Corpus) -> dict[str, object]:
-    return {
-        "n_pairs": len(corpus),
-        "mean_src": stats.mean_src,
-        "std_src": stats.std_src,
-        "max_src": stats.max_src,
-        "mean_tgt": stats.mean_tgt,
-        "std_tgt": stats.std_tgt,
-        "max_tgt": stats.max_tgt,
-        "mean_pairwise_abs_diff": stats.mean_pairwise_abs_diff,
-        "max_len_filter": corpus.max_len_filter,
-    }
+    values = {name: getattr(stats, name, None) for name in _STAT_FIELDS}
+    return {**values, "n_pairs": len(corpus), "max_len_filter": corpus.max_len_filter}
 
 
 def _render_stats(stats: LengthStats, corpus: Corpus, fmt: str) -> str:
@@ -439,6 +430,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _render_comparison(comparison: CostComparison, fmt: str) -> str:
+    """The table in the chosen format; a missing baseline is also noted on stderr."""
+    if comparison.baseline_missing:
+        print("warning: no unsorted baseline among reports; ratio columns omitted", file=sys.stderr)
     render = {"csv": comparison_to_csv, "md": comparison_to_markdown, "json": comparison_to_json}
     return render[fmt](comparison)
 

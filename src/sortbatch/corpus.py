@@ -1,9 +1,10 @@
 """Paired-length corpora: loading, filtering, shuffling, statistics, and synthesis.
 
-Sentence lengths are whitespace-token counts (parallel-tsv) or precomputed
-integers (lengths-tsv). Corpus values are immutable after construction; every
-operation is a pure function returning a new Corpus, so values are safe to
-share across threads.
+A corpus is a set of int64 columns (pair ids, source lengths, target lengths)
+with one row per sentence pair. Sentence lengths are whitespace-token counts
+(parallel-tsv) or precomputed integers (lengths-tsv). Corpus values are
+immutable after construction; every operation is a pure function returning a
+new Corpus, so values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.special import ndtr, ndtri
+from numpy.typing import ArrayLike
 
 PARALLEL_TSV = "parallel-tsv"
 LENGTHS_TSV = "lengths-tsv"
@@ -78,33 +80,73 @@ class SentencePair:
             raise ValueError(f"pair {self.id}: tgt_len does not match tgt_text token count")
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """Ordered collection of sentence pairs plus a record of how it was made."""
+    """Paired lengths as read-only int64 columns, plus a record of how they were made.
 
-    pairs: tuple[SentencePair, ...]
-    max_len_filter: int | None = None
-    shuffle_seed: int | None = None
+    Row r is one pair: ids[r], src[r], tgt[r] and, for parallel-tsv input,
+    texts[r] = (source, target) in an (n, 2) object array (otherwise None).
+    Build one from SentencePair values, Corpus(pairs), or from columns,
+    Corpus(columns=(ids, src, tgt)); either way lengths must be >= 1, ids
+    distinct and no length above max_len_filter. `pairs` is a SentencePair
+    view, built on first use. Int64 array columns are used without a copy,
+    so the caller must not write to them afterwards.
+    """
 
-    def __post_init__(self) -> None:
-        if len({p.id for p in self.pairs}) != len(self.pairs):
+    def __init__(
+        self,
+        pairs: Sequence[SentencePair] = (),
+        max_len_filter: int | None = None,
+        shuffle_seed: int | None = None,
+        *,
+        columns: tuple[ArrayLike, ArrayLike, ArrayLike] | None = None,
+        texts: ArrayLike | None = None,
+    ) -> None:
+        if columns is None:
+            pairs = self.__dict__["pairs"] = tuple(pairs)  # the given values serve as the view
+            columns = ([p.id for p in pairs], [p.src_len for p in pairs], [p.tgt_len for p in pairs])
+            if any(p.src_text is not None or p.tgt_text is not None for p in pairs):
+                texts = [(p.src_text, p.tgt_text) for p in pairs]
+        self.ids, self.src, self.tgt = (np.asarray(c, dtype=np.int64).view() for c in columns)
+        self.texts = None if texts is None else np.array(texts, dtype=object).reshape(-1, 2)
+        for column in (self.ids, self.src, self.tgt, self.texts):
+            if column is not None:
+                column.setflags(write=False)
+        self.max_len_filter = max_len_filter
+        self.shuffle_seed = shuffle_seed
+        self._lengths_tsv: str | None = None
+
+        n = len(self.ids)
+        shapes = {self.ids.shape, self.src.shape, self.tgt.shape}
+        if shapes != {(n,)} or (self.texts is not None and len(self.texts) != n):
+            raise ValueError("corpus columns must be one-dimensional and of equal length")
+        short = np.flatnonzero((self.src < 1) | (self.tgt < 1))
+        if short.size:
+            i, s, t = self.ids[short[0]], self.src[short[0]], self.tgt[short[0]]
+            raise ValueError(f"pair {i}: lengths must be >= 1, got ({s}, {t})")
+        ids = np.sort(self.ids)
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("corpus pair ids must be distinct")
-        if self.max_len_filter is not None:
-            limit = self.max_len_filter
-            if any(p.src_len > limit or p.tgt_len > limit for p in self.pairs):
-                raise ValueError(f"corpus contains pairs longer than max_len_filter={limit}")
+        limit = max_len_filter
+        if limit is not None and ((self.src > limit) | (self.tgt > limit)).any():
+            raise ValueError(f"corpus contains pairs longer than max_len_filter={limit}")
+
+    def take(self, rows: ArrayLike, max_len_filter: int | None, shuffle_seed: int | None) -> Corpus:
+        """The given rows, in the given order, with the given record."""
+        texts = None if self.texts is None else self.texts[rows]
+        columns = (self.ids[rows], self.src[rows], self.tgt[rows])
+        return Corpus(columns=columns, texts=texts, max_len_filter=max_len_filter, shuffle_seed=shuffle_seed)
+
+    @cached_property
+    def pairs(self) -> tuple[SentencePair, ...]:
+        texts = repeat(()) if self.texts is None else self.texts.tolist()
+        rows = zip(self.ids.tolist(), self.src.tolist(), self.tgt.tolist(), texts)
+        return tuple(SentencePair(i, s, t, *text) for i, s, t, text in rows)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[SentencePair]:
         return iter(self.pairs)
-
-    def src_lengths(self) -> np.ndarray:
-        return np.fromiter((p.src_len for p in self.pairs), dtype=np.int64, count=len(self.pairs))
-
-    def tgt_lengths(self) -> np.ndarray:
-        return np.fromiter((p.tgt_len for p in self.pairs), dtype=np.int64, count=len(self.pairs))
 
 
 @dataclass(frozen=True)
@@ -164,6 +206,10 @@ class SynthParams:
 # ---------------------------------------------------------------------------
 
 
+#: Largest length a corpus column holds.
+_MAX_LENGTH = np.iinfo(np.int64).max
+
+
 def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
     """Read a corpus file in the given format.
 
@@ -175,42 +221,69 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
     """
     if fmt not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}, expected one of {CORPUS_FORMATS}")
-    pairs: list[SentencePair] = []
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            columns = line.split("\t")
-            if len(columns) != 2:
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: expected 2 tab-separated columns, got {len(columns)}"
-                )
-            if fmt == LENGTHS_TSV:
-                for column in columns:
-                    if not column.isdigit():
-                        raise CorpusFormatError(
-                            f"{path}: line {lineno}: lengths must be positive integers, got {column!r}"
-                        )
-                src_len, tgt_len = int(columns[0]), int(columns[1])
-                if src_len < 1 or tgt_len < 1:
-                    raise CorpusFormatError(
-                        f"{path}: line {lineno}: non-positive length ({src_len}, {tgt_len})"
-                    )
-                pairs.append(SentencePair(len(pairs), src_len, tgt_len))
-            else:
-                src_text, tgt_text = columns
-                src_len = len(src_text.split())
-                tgt_len = len(tgt_text.split())
-                if src_len < 1 or tgt_len < 1:
-                    raise CorpusFormatError(f"{path}: line {lineno}: empty source or target sentence")
-                pairs.append(SentencePair(len(pairs), src_len, tgt_len, src_text, tgt_text))
-    if not pairs:
+        text = handle.read()
+    lengths = _plain_lengths(text) if fmt == LENGTHS_TSV else None
+    if lengths is not None and lengths.min() >= 1:
+        return Corpus(columns=(np.arange(len(lengths)), lengths[:, 0], lengths[:, 1]))
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
         raise CorpusFormatError(f"{path}: empty corpus file")
-    return Corpus(tuple(pairs))
+    rows = [_parse_line(line, fmt, path, lineno) for lineno, line in enumerate(lines, start=1)]
+    src, tgt, *texts = zip(*rows)
+    return Corpus(columns=(np.arange(len(rows)), src, tgt), texts=list(zip(*texts)) if texts else None)
+
+
+def _plain_lengths(text: str) -> np.ndarray | None:
+    """The (n, 2) lengths of a lengths-tsv text in which every line is two
+    ASCII integers of 1 to 18 digits joined by one tab; None for any other
+    text, which the per-line path then reads or rejects."""
+    data = np.frombuffer(text.removesuffix("\n").encode("utf-8"), dtype=np.uint8)
+    separators = np.flatnonzero((data < ord("0")) | (data > ord("9")))
+    digits = np.diff(separators, prepend=-1, append=len(data)) - 1
+    tab_newline = np.resize(np.array([ord("\t"), ord("\n")], dtype=np.uint8), len(separators))
+    alternating = len(separators) % 2 == 1 and (data[separators] == tab_newline).all()
+    if not alternating or not 1 <= digits.min() <= digits.max() <= 18:
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+
+
+def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple:
+    """(src_len, tgt_len), plus both texts for parallel-tsv, of one line."""
+    columns = line.split("\t")
+    if len(columns) != 2:
+        raise CorpusFormatError(
+            f"{path}: line {lineno}: expected 2 tab-separated columns, got {len(columns)}"
+        )
+    if fmt == PARALLEL_TSV:
+        src_len, tgt_len = (len(column.split()) for column in columns)
+        if src_len < 1 or tgt_len < 1:
+            raise CorpusFormatError(f"{path}: line {lineno}: empty source or target sentence")
+        return src_len, tgt_len, *columns
+    for column in columns:
+        if not column.isdigit():
+            raise CorpusFormatError(
+                f"{path}: line {lineno}: lengths must be positive integers, got {column!r}"
+            )
+    src_len, tgt_len = int(columns[0]), int(columns[1])
+    if src_len < 1 or tgt_len < 1:
+        raise CorpusFormatError(f"{path}: line {lineno}: non-positive length ({src_len}, {tgt_len})")
+    if max(src_len, tgt_len) > _MAX_LENGTH:
+        raise CorpusFormatError(f"{path}: line {lineno}: length above {_MAX_LENGTH}")
+    return src_len, tgt_len
 
 
 def to_lengths_tsv(corpus: Corpus) -> str:
-    """Canonical interchange serialization: one `src_len\\ttgt_len` line per pair."""
-    return "".join(f"{p.src_len}\t{p.tgt_len}\n" for p in corpus.pairs)
+    """Canonical interchange serialization: one `src_len\\ttgt_len` line per pair.
+
+    Rendered once per corpus value and kept with it.
+    """
+    if corpus._lengths_tsv is None:
+        interleaved = np.column_stack((corpus.src, corpus.tgt)).ravel().tolist()
+        corpus._lengths_tsv = ("%d\t%d\n" * len(corpus)) % tuple(interleaved)
+    return corpus._lengths_tsv
 
 
 def write_lengths_tsv(corpus: Corpus, path: str | Path) -> None:
@@ -235,26 +308,23 @@ def filter_max_len(corpus: Corpus, limit: int) -> Corpus:
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    kept = tuple(p for p in corpus.pairs if p.src_len <= limit and p.tgt_len <= limit)
-    return Corpus(kept, max_len_filter=limit, shuffle_seed=corpus.shuffle_seed)
+    kept = np.flatnonzero((corpus.src <= limit) & (corpus.tgt <= limit))
+    return corpus.take(kept, max_len_filter=limit, shuffle_seed=corpus.shuffle_seed)
 
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:
     """Uniform seeded permutation of the pairs; same seed, same permutation."""
-    if not corpus.pairs:
+    if not len(corpus):
         raise ValueError("cannot shuffle an empty corpus")
-    rng = np.random.default_rng(seed)
-    permutation = rng.permutation(len(corpus.pairs))
-    pairs = tuple(corpus.pairs[i] for i in permutation)
-    return Corpus(pairs, max_len_filter=corpus.max_len_filter, shuffle_seed=seed)
+    permutation = np.random.default_rng(seed).permutation(len(corpus))
+    return corpus.take(permutation, max_len_filter=corpus.max_len_filter, shuffle_seed=seed)
 
 
 def compute_stats(corpus: Corpus) -> LengthStats:
     """Population statistics over all pairs (std with ddof=0)."""
-    if not corpus.pairs:
+    if not len(corpus):
         raise ValueError("compute_stats requires a nonempty corpus")
-    src = corpus.src_lengths()
-    tgt = corpus.tgt_lengths()
+    src, tgt = corpus.src, corpus.tgt
     return LengthStats(
         mean_src=float(src.mean()),
         mean_tgt=float(tgt.mean()),
@@ -279,6 +349,8 @@ def _histogram(values: np.ndarray) -> dict[int, int]:
 
 
 def _lognormal_trunc_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
+    from scipy.special import ndtr
+
     a = (math.log(lo) - mu) / sigma
     b = (math.log(hi) - mu) / sigma
     z = ndtr(b) - ndtr(a)
@@ -290,6 +362,8 @@ def _lognormal_trunc_moments(mu: float, sigma: float, lo: float, hi: float) -> t
 
 
 def _normal_trunc_moments(loc: float, scale: float, lo: float, hi: float) -> tuple[float, float]:
+    from scipy.special import ndtr
+
     a = (lo - loc) / scale
     b = (hi - loc) / scale
     z = ndtr(b) - ndtr(a)
@@ -309,6 +383,8 @@ def _fit_family(dist: str, mean: float, std: float, lo: float, hi: float) -> tup
     root finding; falls back to the start point when the truncated equations
     have no usable solution (extreme parameter corners).
     """
+    from scipy import optimize
+
     if dist == LOGNORMAL:
         s2 = math.log(1.0 + (std / mean) ** 2)
         start = (math.log(mean) - 0.5 * s2, math.sqrt(s2))
@@ -335,6 +411,8 @@ def _fit_family(dist: str, mean: float, std: float, lo: float, hi: float) -> tup
 
 
 def _sample_src_lengths(params: SynthParams, rng: np.random.Generator) -> np.ndarray:
+    from scipy.special import ndtr, ndtri
+
     if params.std_src == 0:
         value = min(max(int(round(params.mean_src)), 1), params.max_len)
         return np.full(params.n, value, dtype=np.int64)
@@ -368,7 +446,4 @@ def synth_generate(params: SynthParams) -> Corpus:
     else:
         eps = rng.normal(0.0, params.pair_diff_mean * math.sqrt(math.pi / 2.0), params.n)
         tgt = np.clip(src + np.rint(eps).astype(np.int64), 1, params.max_len)
-    pairs = tuple(
-        SentencePair(i, s, t) for i, (s, t) in enumerate(zip(src.tolist(), tgt.tolist()))
-    )
-    return Corpus(pairs)
+    return Corpus(columns=(np.arange(params.n), src, tgt))

@@ -19,7 +19,6 @@ reports carry avg_definition metadata naming that convention.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import groupby
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batcher import FULL_SORT, PARTIAL_SORT, UNSORTED, Batch, BatchPlanConfig
+from .batcher import FULL_SORT, PARTIAL_SORT, UNSORTED, Batch, BatchPlanConfig, BatchStream
 
 AVG_DEFINITION = "mean_of_per_batch_max"
 
@@ -106,6 +105,27 @@ class RunReport:
     avg_definition: str = AVG_DEFINITION
 
 
+def _cost_columns(stream: BatchStream) -> dict[str, np.ndarray]:
+    """Each BatchCost field, in field order, as one column over the batches."""
+    size, padded_src, padded_tgt = stream.sizes, stream.padded_src, stream.padded_tgt
+    useful_src, useful_tgt = (np.add.reduceat(side, stream.starts) for side in (stream.src, stream.tgt))
+    total_src, total_tgt = size * padded_src, size * padded_tgt
+    return dict(
+        size=size,
+        padded_src=padded_src,
+        padded_tgt=padded_tgt,
+        useful_src=useful_src,
+        useful_tgt=useful_tgt,
+        padded_src_total=total_src,
+        padded_tgt_total=total_tgt,
+        waste_fraction_src=1.0 - useful_src / total_src,
+        waste_fraction_tgt=1.0 - useful_tgt / total_tgt,
+        linear_cost=total_src + total_tgt,
+        quadratic_cost=size * (padded_src**2 + padded_tgt**2),
+        cross_cost=size * padded_src * padded_tgt,
+    )
+
+
 def cost_of_batch(batch: Batch) -> BatchCost:
     """Exact padding accounting for one batch.
 
@@ -113,25 +133,7 @@ def cost_of_batch(batch: Batch) -> BatchCost:
     1 - useful / (|pairs| * padded_len), independently recomputable from the
     member lengths.
     """
-    size = len(batch.pairs)
-    useful_src = sum(p.src_len for p in batch.pairs)
-    useful_tgt = sum(p.tgt_len for p in batch.pairs)
-    padded_src_total = size * batch.padded_src
-    padded_tgt_total = size * batch.padded_tgt
-    return BatchCost(
-        size=size,
-        padded_src=batch.padded_src,
-        padded_tgt=batch.padded_tgt,
-        useful_src=useful_src,
-        useful_tgt=useful_tgt,
-        padded_src_total=padded_src_total,
-        padded_tgt_total=padded_tgt_total,
-        waste_fraction_src=1.0 - useful_src / padded_src_total,
-        waste_fraction_tgt=1.0 - useful_tgt / padded_tgt_total,
-        linear_cost=padded_src_total + padded_tgt_total,
-        quadratic_cost=size * (batch.padded_src**2 + batch.padded_tgt**2),
-        cross_cost=size * batch.padded_src * batch.padded_tgt,
-    )
+    return BatchCost(*(column.item() for column in _cost_columns(BatchStream.of([batch])).values()))
 
 
 def summarize_run(
@@ -142,35 +144,35 @@ def summarize_run(
     """Aggregate per-batch costs into a RunReport.
 
     avg_padded_* are unweighted means over batches of the per-batch maxima
-    (a short final batch counts the same as a full one).
+    (a short final batch counts the same as a full one). Totals are exact
+    sums of Python ints.
     """
     if not batches:
         raise ValueError("cannot summarize an empty batch stream")
-    records = tuple(
-        BatchCostRecord(b.epoch_index, b.iteration_index, cost_of_batch(b)) for b in batches
-    )
-    costs = [r.cost for r in records]
-    total_useful_src = sum(c.useful_src for c in costs)
-    total_useful_tgt = sum(c.useful_tgt for c in costs)
-    total_padded_src = sum(c.padded_src_total for c in costs)
-    total_padded_tgt = sum(c.padded_tgt_total for c in costs)
+    stream = BatchStream.of(batches)
+    costs = {name: column.tolist() for name, column in _cost_columns(stream).items()}
+    rows = zip(stream.epoch.tolist(), stream.iteration.tolist(), *costs.values())
+    total_useful_src = sum(costs["useful_src"])
+    total_useful_tgt = sum(costs["useful_tgt"])
+    total_padded_src = sum(costs["padded_src_total"])
+    total_padded_tgt = sum(costs["padded_tgt_total"])
     return RunReport(
         config=config,
         corpus_hash=corpus_hash,
-        n_batches=len(records),
-        n_pairs=sum(c.size for c in costs),
-        avg_padded_src=float(np.mean([c.padded_src for c in costs])),
-        avg_padded_tgt=float(np.mean([c.padded_tgt for c in costs])),
+        n_batches=len(stream),
+        n_pairs=sum(costs["size"]),
+        avg_padded_src=float(np.mean(stream.padded_src)),
+        avg_padded_tgt=float(np.mean(stream.padded_tgt)),
         total_useful_src=total_useful_src,
         total_useful_tgt=total_useful_tgt,
         total_padded_src=total_padded_src,
         total_padded_tgt=total_padded_tgt,
         overall_waste_src=1.0 - total_useful_src / total_padded_src,
         overall_waste_tgt=1.0 - total_useful_tgt / total_padded_tgt,
-        total_linear_cost=sum(c.linear_cost for c in costs),
-        total_quadratic_cost=sum(c.quadratic_cost for c in costs),
-        total_cross_cost=sum(c.cross_cost for c in costs),
-        per_batch=records,
+        total_linear_cost=sum(costs["linear_cost"]),
+        total_quadratic_cost=sum(costs["quadratic_cost"]),
+        total_cross_cost=sum(costs["cross_cost"]),
+        per_batch=tuple(BatchCostRecord(e, i, BatchCost(*cost)) for e, i, *cost in rows),
     )
 
 
@@ -228,18 +230,26 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
 
     Ratio columns divide each cell by the unsorted baseline row; without an
     unsorted report the ratios are omitted and the comparison is flagged.
-    All reports must describe runs over the same corpus and batch size.
+    All reports must describe runs over the same corpus, batch size, epoch
+    count and drop_last setting, and no two the same (policy, k, seed) cell.
     """
     if not reports:
         raise ValueError("cannot compare an empty report list")
-    sizes = sorted({r.config.m for r in reports})
-    if len(sizes) > 1:
-        raise ValueError(f"reports mix batch sizes {sizes[0]} and {sizes[1]}")
+    settings = (("m", "batch sizes"), ("epochs", "epoch counts"), ("drop_last", "drop_last settings"))
+    for attr, label in settings:
+        values = sorted({getattr(r.config, attr) for r in reports})
+        if len(values) > 1:
+            raise ValueError(f"reports mix {label} {values[0]} and {values[1]}")
     hashes = sorted({r.corpus_hash for r in reports if r.corpus_hash is not None})
     if len(hashes) > 1:
         raise ValueError(f"reports mix corpus hashes {hashes[0]} and {hashes[1]}")
 
     ordered = sorted(reports, key=lambda r: (*_group_key(r), r.config.seed))
+    for a, b in zip(ordered, ordered[1:]):
+        if (*_group_key(a), a.config.seed) == (*_group_key(b), b.config.seed):
+            raise ValueError(
+                f"two reports for policy={a.config.policy} k={k_label(a.config)} seed={a.config.seed}"
+            )
     rows = []
     for (_, k), group in groupby(ordered, key=_group_key):
         cell = list(group)
@@ -273,10 +283,8 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
             )
             for row in rows
         ]
-    else:
-        warnings.warn("no unsorted baseline among reports; ratio columns omitted", stacklevel=2)
     return CostComparison(
-        m=sizes[0],
+        m=reports[0].config.m,
         corpus_hash=hashes[0] if hashes else None,
         rows=tuple(rows),
         baseline_missing=baseline is None,
@@ -290,6 +298,9 @@ def _safe_ratio(value: float, base: float) -> float | None:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+
+_RECORD_KEYS = {"epoch", "iteration", *(f.name for f in fields(BatchCost))}
 
 
 def _record_to_dict(record: BatchCostRecord) -> dict:
@@ -318,38 +329,19 @@ def _record_from_dict(d: dict) -> BatchCostRecord:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    d = {
-        "config": asdict(report.config),
-        "corpus_hash": report.corpus_hash,
-        "avg_definition": report.avg_definition,
-        "per_batch": [_record_to_dict(r) for r in report.per_batch],
-    }
-    for field in (
-        "n_batches",
-        "n_pairs",
-        "avg_padded_src",
-        "avg_padded_tgt",
-        "total_useful_src",
-        "total_useful_tgt",
-        "total_padded_src",
-        "total_padded_tgt",
-        "overall_waste_src",
-        "overall_waste_tgt",
-        "total_linear_cost",
-        "total_quadratic_cost",
-        "total_cross_cost",
-    ):
-        d[field] = getattr(report, field)
+    d = {f.name: getattr(report, f.name) for f in fields(RunReport)}
+    d["config"] = asdict(report.config)
+    d["per_batch"] = [_record_to_dict(r) for r in report.per_batch]
     return d
 
 
-def _check_keys(d: object, cls: type, what: str) -> None:
+def _check_keys(d: object, cls: type, what: str, extra: tuple[str, ...] = ()) -> None:
     """Raise ValueError unless d is a dict with every required field of cls
-    and no key that is not a field of cls."""
+    and every key in extra, and no other key."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    names = {f.name for f in fields(cls)}
-    required = {f.name for f in fields(cls) if f.default is MISSING}
+    names = {f.name for f in fields(cls)} | set(extra)
+    required = {f.name for f in fields(cls) if f.default is MISSING} | set(extra)
     missing = sorted(required - d.keys())
     if missing:
         raise ValueError(f"{what} is missing keys {missing}")
@@ -360,9 +352,14 @@ def _check_keys(d: object, cls: type, what: str) -> None:
 
 def report_from_dict(d: dict) -> RunReport:
     """Inverse of report_to_dict; raises ValueError on missing or unknown
-    top-level or config keys."""
+    top-level, config or per_batch keys."""
     _check_keys(d, RunReport, "report")
     _check_keys(d["config"], BatchPlanConfig, "report config")
+    if not isinstance(d["per_batch"], list):
+        raise ValueError(f"report per_batch must be a JSON array, got {type(d['per_batch']).__name__}")
+    for i, entry in enumerate(d["per_batch"]):
+        if not isinstance(entry, dict) or entry.keys() != _RECORD_KEYS:
+            _check_keys(entry, BatchCost, f"report per_batch[{i}]", extra=("epoch", "iteration"))
     rest = {k: v for k, v in d.items() if k not in ("config", "per_batch")}
     return RunReport(
         config=BatchPlanConfig(**d["config"]),
@@ -394,19 +391,7 @@ _COLUMNS = (
     ("policy", "policy"),
     ("k", "k_label"),
     ("runs", "n_runs"),
-    ("avg_padded_src", "avg_padded_src"),
-    ("avg_padded_tgt", "avg_padded_tgt"),
-    ("waste_src", "waste_src"),
-    ("waste_tgt", "waste_tgt"),
-    ("linear_cost", "linear_cost"),
-    ("quadratic_cost", "quadratic_cost"),
-    ("cross_cost", "cross_cost"),
-    ("ratio_avg_src", "ratio_avg_src"),
-    ("ratio_avg_tgt", "ratio_avg_tgt"),
-    ("ratio_waste_src", "ratio_waste_src"),
-    ("ratio_waste_tgt", "ratio_waste_tgt"),
-    ("ratio_linear", "ratio_linear"),
-    ("ratio_quadratic", "ratio_quadratic"),
+    *((f.name, f.name) for f in fields(ComparisonRow)[3:]),
 )
 
 

@@ -25,15 +25,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .batcher import PARTIAL_SORT, Batch, BatchPlanConfig, run_epochs
+from .batcher import PARTIAL_SORT, Batch, BatchPlanConfig, BatchStream, run_epochs
 from .corpus import Corpus
 
-METRICS: dict[str, Callable[[Batch], float]] = {
-    "padded_src": lambda b: float(b.padded_src),
-    "padded_tgt": lambda b: float(b.padded_tgt),
-    "mean_src": lambda b: sum(p.src_len for p in b.pairs) / len(b.pairs),
-    "mean_tgt": lambda b: sum(p.tgt_len for p in b.pairs) / len(b.pairs),
-    "size": lambda b: float(len(b.pairs)),
+#: Per-batch scalars: each maps a stream to one value per batch.
+METRICS: dict[str, Callable[[BatchStream], np.ndarray]] = {
+    "padded_src": lambda s: s.padded_src,
+    "padded_tgt": lambda s: s.padded_tgt,
+    "mean_src": lambda s: np.add.reduceat(s.src, s.starts) / s.sizes,
+    "mean_tgt": lambda s: np.add.reduceat(s.tgt, s.starts) / s.sizes,
+    "size": lambda s: s.sizes,
 }
 
 __all__ = [
@@ -122,7 +123,8 @@ def extract_series(
         raise ValueError(
             f"unknown metric tag {metric_tag!r}, expected one of {sorted(METRICS)}"
         ) from None
-    return BatchSeries(tuple(metric(b) for b in batches), metric_tag, config)
+    values = metric(BatchStream.of(batches)).astype(float).tolist()
+    return BatchSeries(tuple(values), metric_tag, config)
 
 
 def autocorrelation(series: BatchSeries, max_lag: int) -> AutocorrResult:
@@ -169,38 +171,29 @@ def cycle_analysis(batches: Sequence[Batch], config: BatchPlanConfig) -> CycleRe
         raise ValueError(f"cycle analysis requires policy {PARTIAL_SORT!r}, got {config.policy!r}")
     if not batches:
         raise ValueError("cannot analyze an empty batch stream")
-    cycles: list[CycleSummary] = []
-    epoch_start = 0
-    for i, batch in enumerate(batches):
-        if batch.epoch_index != batches[epoch_start].epoch_index:
-            cycles.extend(_epoch_cycles(batches[epoch_start:i], config.k, len(cycles)))
-            epoch_start = i
-    cycles.extend(_epoch_cycles(batches[epoch_start:], config.k, len(cycles)))
-    score = sum(c.non_decreasing for c in cycles) / len(cycles)
+    stream = BatchStream.of(batches)
+    n, epoch, padded = len(stream), stream.epoch, stream.padded_src
+    epoch_starts = np.flatnonzero(np.diff(epoch, prepend=epoch[0] - 1))
+    position = np.arange(n) - np.repeat(epoch_starts, np.diff(epoch_starts, append=n))
+    starts = np.flatnonzero(position % min(config.k, n) == 0)
+    no_drop = np.diff(padded, prepend=padded[0]) >= 0
+    no_drop[starts] = True
+    columns = (
+        epoch[starts],
+        np.diff(starts, append=n),
+        np.minimum.reduceat(padded, starts),
+        np.maximum.reduceat(padded, starts),
+        np.logical_and.reduceat(no_drop, starts),
+    )
+    cycles = tuple(
+        CycleSummary(i, *cycle) for i, cycle in enumerate(zip(*(c.tolist() for c in columns)))
+    )
     return CycleReport(
         k=config.k,
-        cycle_score=score,
-        cycles=tuple(cycles),
+        cycle_score=sum(c.non_decreasing for c in cycles) / len(cycles),
+        cycles=cycles,
         uninformative=config.k == 1,
     )
-
-
-def _epoch_cycles(batches: Sequence[Batch], k: int, start_index: int) -> list[CycleSummary]:
-    cycles = []
-    for offset in range(0, len(batches), k):
-        chunk = batches[offset : offset + k]
-        padded = [b.padded_src for b in chunk]
-        cycles.append(
-            CycleSummary(
-                index=start_index + len(cycles),
-                epoch=chunk[0].epoch_index,
-                n_batches=len(chunk),
-                min_padded_src=min(padded),
-                max_padded_src=max(padded),
-                non_decreasing=all(a <= b for a, b in zip(padded, padded[1:])),
-            )
-        )
-    return cycles
 
 
 def default_max_lag(config: BatchPlanConfig, series_length: int) -> int:
@@ -221,22 +214,18 @@ def iid_report(
     four batches) reports an empty, degenerate autocorrelation instead of
     failing; an explicit max_lag keeps the strict length requirement.
     """
+    batches = BatchStream.of(batches)
     series = extract_series(batches, metric_tag, config)
     if max_lag is None:
         max_lag = default_max_lag(config, len(series.values))
         if len(series.values) <= max_lag + 2:
             max_lag = 0
-    values = np.asarray(series.values, dtype=float)
-    if max_lag == 0:
-        autocorr = AutocorrResult(lags={}, degenerate=True)
-    else:
-        autocorr = autocorrelation(series, max_lag)
     return IIDReport(
         metric_tag=metric_tag,
         config=config,
-        series_mean=float(values.mean()),
-        series_std=float(values.std()),
-        autocorr=autocorr,
+        series_mean=float(np.mean(series.values)),
+        series_std=float(np.std(series.values)),
+        autocorr=autocorrelation(series, max_lag) if max_lag else AutocorrResult(lags={}, degenerate=True),
         cycle=cycle_analysis(batches, config) if config.policy == PARTIAL_SORT else None,
     )
 
@@ -271,17 +260,7 @@ def iid_report_to_dict(report: IIDReport, include_cycles: bool = False) -> dict:
             "uninformative": report.cycle.uninformative,
         }
         if include_cycles:
-            cycle["cycles"] = [
-                {
-                    "index": c.index,
-                    "epoch": c.epoch,
-                    "n_batches": c.n_batches,
-                    "min_padded_src": c.min_padded_src,
-                    "max_padded_src": c.max_padded_src,
-                    "non_decreasing": c.non_decreasing,
-                }
-                for c in report.cycle.cycles
-            ]
+            cycle["cycles"] = [asdict(c) for c in report.cycle.cycles]
     return {
         "metric_tag": report.metric_tag,
         "config": asdict(report.config),

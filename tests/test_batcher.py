@@ -183,7 +183,7 @@ def test_epoch_order_matches_shuffle_permutation():
             for start in range(0, 14, block)
             for pair in sorted(shuffled[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
         ]
-        assert epoch_order(corpus, config, 1) == tuple(expected)
+        assert epoch_order(corpus, config, 1).pairs == tuple(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """End-to-end CLI behavior: flags, file layout, exit codes, round trips."""
 
 import json
+import shutil
 
 import pytest
 
-from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from sortbatch.corpus import load_corpus
+from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, main, run_sweep
+from sortbatch.corpus import SentencePair, SynthParams, load_corpus
 
 GEN_FLAGS = ["--n", "200", "--mean-src", "10", "--std-src", "3", "--max-len", "50"]
 
@@ -304,6 +305,49 @@ def test_report_malformed_report_is_data_error(corpus_file, tmp_path, capsys):
     code, _, err = run(["report", str(out)], capsys)
     assert code == EXIT_DATA
     assert "'m'" in err
+
+
+def test_report_malformed_per_batch_entry_is_data_error(corpus_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)
+    path = out / "run_k1_seed0" / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    del report["per_batch"][3]["size"]
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, _, err = run(["report", str(out)], capsys)
+    assert code == EXIT_DATA
+    assert "per_batch[3]" in err and "'size'" in err
+
+
+def test_report_same_run_twice_is_data_error(corpus_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "3"), seeds=("0",)), capsys)
+    shutil.copytree(out, tmp_path / "copy")
+    code, _, err = run(["report", str(out), str(tmp_path / "copy")], capsys)
+    assert code == EXIT_DATA
+    assert "seed=0" in err
+
+
+def test_missing_baseline_noted_on_stderr(corpus_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code, _, err = run(simulate_args(corpus_file, out, k=("3",), seeds=("0",)), capsys)
+    assert code == EXIT_OK
+    assert err == "warning: no unsorted baseline among reports; ratio columns omitted\n"
+    code, _, err = run(["report", str(out)], capsys)
+    assert code == EXIT_OK
+    assert "no unsorted baseline" in err
+
+
+def test_simulate_makes_no_per_pair_objects(corpus_file, tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("SentencePair built on the simulate path")
+
+    monkeypatch.setattr(SentencePair, "__post_init__", refuse)
+    common = dict(m=4, k_values=(1, 3, "all"), seeds=(0, 1), epochs=2)
+    run_sweep(SweepSpec(out_dir=tmp_path / "file", corpus_path=corpus_file, **common))
+    synth = SynthParams(n=300, mean_src=10, std_src=3, max_len=50, pair_diff_mean=1.0)
+    run_sweep(SweepSpec(out_dir=tmp_path / "synth", synth=synth, **common))
+    assert (tmp_path / "synth" / "comparison.csv").exists()
 
 
 def test_report_json_format(corpus_file, tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Corpus loading, filtering, shuffling, statistics, and synthesis."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +102,51 @@ def test_load_rejects_non_integer(tmp_path):
     path.write_text("3\tx\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="line 1"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3\t4\n\n", 2),
+        ("3\n4\t5\n", 1),
+        ("\t3\n", 1),
+        ("3\t\n", 1),
+        ("1\t2\n3\t4\t5\n6\t7\n", 2),
+        ("3 \t4\n", 1),
+        ("3\t4\n5", 2),
+        ("3\t4\n5\t+6\n", 2),
+    ],
+)
+def test_load_names_first_malformed_line(tmp_path, text, line):
+    path = tmp_path / "c.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"line {line}:"):
+        load_corpus(path)
+
+
+def test_load_crlf_equals_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_bytes(b"3\t4\n1\t1\n12\t9\n")
+    crlf.write_bytes(b"3\t4\r\n1\t1\r\n12\t9\r\n")
+    assert load_corpus(crlf).pairs == load_corpus(lf).pairs
+
+
+def test_load_rejects_length_beyond_int64(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("3\t4\n5\t99999999999999999999\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="line 2"):
+        load_corpus(path)
+
+
+def test_loading_lengths_does_not_import_scipy(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("3\t4\n1\t1\n", encoding="utf-8")
+    code = (
+        "import sys, sortbatch; sortbatch.load_corpus(sys.argv[1]); "
+        "sys.exit('scipy.optimize' in sys.modules or 'scipy.special' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code, str(path)], env=env).returncode == 0
 
 
 def test_load_rejects_empty_file(tmp_path):

@@ -200,8 +200,7 @@ def test_single_unsorted_report_has_unit_ratio():
 
 
 def test_missing_baseline_flags_and_omits_ratios():
-    with pytest.warns(UserWarning):
-        comparison = compare_costs([_report(PARTIAL_SORT, 5, 0, [batch_of([3, 4])])])
+    comparison = compare_costs([_report(PARTIAL_SORT, 5, 0, [batch_of([3, 4])])])
     assert comparison.baseline_missing
     assert comparison.rows[0].ratio_avg_src is None
 
@@ -234,6 +233,22 @@ def test_mixed_m_rejected():
     a = summarize_run([batch_of([1, 2])], BatchPlanConfig(m=2), corpus_hash="x")
     b = summarize_run([batch_of([1, 2, 3])], BatchPlanConfig(m=3), corpus_hash="x")
     with pytest.raises(ValueError, match="2.*3"):
+        compare_costs([a, b])
+
+
+def test_duplicate_cell_rejected():
+    a = _report(PARTIAL_SORT, 5, 3, [batch_of([1, 2])])
+    b = _report(PARTIAL_SORT, 5, 3, [batch_of([2, 2])])
+    with pytest.raises(ValueError, match="k=5 seed=3"):
+        compare_costs([_report(UNSORTED, 1, 0, [batch_of([1, 1])]), a, b])
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 2), ("drop_last", True)])
+def test_mixed_epochs_or_drop_last_rejected(field, value):
+    a = summarize_run([batch_of([1, 2])], BatchPlanConfig(m=2, policy=UNSORTED), corpus_hash="x")
+    other = BatchPlanConfig(m=2, k=3, **{field: value})
+    b = summarize_run([batch_of([1, 2])], other, corpus_hash="x")
+    with pytest.raises(ValueError, match="reports mix"):
         compare_costs([a, b])
 
 
