@@ -3,7 +3,7 @@
 Per batch, every member is padded to the batch maximum on each side, so the
 device processes |pairs| * padded_len token slots per side while only the
 real tokens are useful. This module counts both, derives waste fractions,
-and aggregates three cost proxies per run:
+and totals three cost proxies per run:
 
   linear_cost    = padded_src_total + padded_tgt_total        (token slots)
   quadratic_cost = |pairs| * (padded_src^2 + padded_tgt^2)    (slot pairs)
@@ -14,15 +14,18 @@ attention-dominated, and cross-attention-dominated workloads.
 
 Run averages of padded lengths are unweighted means of per-batch maxima;
 reports carry avg_definition metadata naming that convention.
+
+A RunReport (and its report.json) holds only these run aggregates. One batch's
+costs are cost_of_batch(stream[b]), or rebuilt from batches.jsonl and corpus.tsv.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -37,7 +40,6 @@ _POLICY_RANK = {UNSORTED: 0, PARTIAL_SORT: 1, FULL_SORT: 2}
 __all__ = [
     "AVG_DEFINITION",
     "BatchCost",
-    "BatchCostRecord",
     "RunReport",
     "ComparisonRow",
     "CostComparison",
@@ -73,15 +75,6 @@ class BatchCost:
     cross_cost: int
 
 
-@dataclass(frozen=True, slots=True)
-class BatchCostRecord:
-    """BatchCost tagged with its position in the run's batch stream."""
-
-    epoch: int
-    iteration: int
-    cost: BatchCost
-
-
 @dataclass(frozen=True)
 class RunReport:
     """Aggregated padding costs of one (config, corpus) run."""
@@ -101,7 +94,6 @@ class RunReport:
     total_linear_cost: int
     total_quadratic_cost: int
     total_cross_cost: int
-    per_batch: tuple[BatchCostRecord, ...]
     avg_definition: str = AVG_DEFINITION
 
 
@@ -141,7 +133,7 @@ def summarize_run(
     config: BatchPlanConfig,
     corpus_hash: str | None = None,
 ) -> RunReport:
-    """Aggregate per-batch costs into a RunReport.
+    """Total the per-batch costs of a stream into a RunReport.
 
     avg_padded_* are unweighted means over batches of the per-batch maxima
     (a short final batch counts the same as a full one). Totals are exact
@@ -150,17 +142,18 @@ def summarize_run(
     if not batches:
         raise ValueError("cannot summarize an empty batch stream")
     stream = BatchStream.of(batches)
-    costs = {name: column.tolist() for name, column in _cost_columns(stream).items()}
-    rows = zip(stream.epoch.tolist(), stream.iteration.tolist(), *costs.values())
-    total_useful_src = sum(costs["useful_src"])
-    total_useful_tgt = sum(costs["useful_tgt"])
-    total_padded_src = sum(costs["padded_src_total"])
-    total_padded_tgt = sum(costs["padded_tgt_total"])
+    columns = _cost_columns(stream)
+
+    def total(name: str) -> int:
+        return sum(columns[name].tolist())
+
+    total_useful_src, total_useful_tgt = total("useful_src"), total("useful_tgt")
+    total_padded_src, total_padded_tgt = total("padded_src_total"), total("padded_tgt_total")
     return RunReport(
         config=config,
         corpus_hash=corpus_hash,
         n_batches=len(stream),
-        n_pairs=sum(costs["size"]),
+        n_pairs=total("size"),
         avg_padded_src=float(np.mean(stream.padded_src)),
         avg_padded_tgt=float(np.mean(stream.padded_tgt)),
         total_useful_src=total_useful_src,
@@ -169,10 +162,9 @@ def summarize_run(
         total_padded_tgt=total_padded_tgt,
         overall_waste_src=1.0 - total_useful_src / total_padded_src,
         overall_waste_tgt=1.0 - total_useful_tgt / total_padded_tgt,
-        total_linear_cost=sum(costs["linear_cost"]),
-        total_quadratic_cost=sum(costs["quadratic_cost"]),
-        total_cross_cost=sum(costs["cross_cost"]),
-        per_batch=tuple(BatchCostRecord(e, i, BatchCost(*cost)) for e, i, *cost in rows),
+        total_linear_cost=total("linear_cost"),
+        total_quadratic_cost=total("quadratic_cost"),
+        total_cross_cost=total("cross_cost"),
     )
 
 
@@ -300,72 +292,42 @@ def _safe_ratio(value: float, base: float) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-_RECORD_KEYS = {"epoch", "iteration", *(f.name for f in fields(BatchCost))}
-
-
-def _record_to_dict(record: BatchCostRecord) -> dict:
-    c = record.cost
-    return {
-        "epoch": record.epoch,
-        "iteration": record.iteration,
-        "size": c.size,
-        "padded_src": c.padded_src,
-        "padded_tgt": c.padded_tgt,
-        "useful_src": c.useful_src,
-        "useful_tgt": c.useful_tgt,
-        "padded_src_total": c.padded_src_total,
-        "padded_tgt_total": c.padded_tgt_total,
-        "waste_fraction_src": c.waste_fraction_src,
-        "waste_fraction_tgt": c.waste_fraction_tgt,
-        "linear_cost": c.linear_cost,
-        "quadratic_cost": c.quadratic_cost,
-        "cross_cost": c.cross_cost,
-    }
-
-
-def _record_from_dict(d: dict) -> BatchCostRecord:
-    cost = BatchCost(**{k: v for k, v in d.items() if k not in ("epoch", "iteration")})
-    return BatchCostRecord(epoch=d["epoch"], iteration=d["iteration"], cost=cost)
-
-
 def report_to_dict(report: RunReport) -> dict:
     d = {f.name: getattr(report, f.name) for f in fields(RunReport)}
     d["config"] = asdict(report.config)
-    d["per_batch"] = [_record_to_dict(r) for r in report.per_batch]
     return d
 
 
-def _check_keys(d: object, cls: type, what: str, extra: tuple[str, ...] = ()) -> None:
-    """Raise ValueError unless d is a dict with every required field of cls
-    and every key in extra, and no other key."""
+def _check_keys(d: object, cls: type, what: str) -> None:
+    """Raise ValueError unless d is a dict holding exactly the fields of cls
+    (defaulted ones optional), each of its field's type: a float field takes an
+    int, only a bool field takes a bool, a dataclass field is checked apart."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    names = {f.name for f in fields(cls)} | set(extra)
-    required = {f.name for f in fields(cls) if f.default is MISSING} | set(extra)
+    required = {f.name for f in fields(cls) if f.default is MISSING}
     missing = sorted(required - d.keys())
     if missing:
         raise ValueError(f"{what} is missing keys {missing}")
-    unknown = sorted(d.keys() - names)
+    hints = get_type_hints(cls)
+    unknown = sorted(d.keys() - hints.keys())
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}")
+    for name, value in d.items():
+        hint = hints[name]
+        if is_dataclass(hint):
+            continue
+        accepted = int | float if hint is float else hint
+        if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+            raise ValueError(f"{what} field {name!r} must be {getattr(hint, '__name__', hint)}, got {type(value).__name__}")
 
 
 def report_from_dict(d: dict) -> RunReport:
-    """Inverse of report_to_dict; raises ValueError on missing or unknown
-    top-level, config or per_batch keys."""
+    """Inverse of report_to_dict. Raises ValueError on a missing, unknown or
+    wrongly typed key, top-level or in config; a report.json written with the
+    former per_batch block is rejected for that unknown key."""
     _check_keys(d, RunReport, "report")
     _check_keys(d["config"], BatchPlanConfig, "report config")
-    if not isinstance(d["per_batch"], list):
-        raise ValueError(f"report per_batch must be a JSON array, got {type(d['per_batch']).__name__}")
-    for i, entry in enumerate(d["per_batch"]):
-        if not isinstance(entry, dict) or entry.keys() != _RECORD_KEYS:
-            _check_keys(entry, BatchCost, f"report per_batch[{i}]", extra=("epoch", "iteration"))
-    rest = {k: v for k, v in d.items() if k not in ("config", "per_batch")}
-    return RunReport(
-        config=BatchPlanConfig(**d["config"]),
-        per_batch=tuple(_record_from_dict(r) for r in d["per_batch"]),
-        **rest,
-    )
+    return RunReport(**{**d, "config": BatchPlanConfig(**d["config"])})
 
 
 def write_report_json(report: RunReport, path: str | Path) -> None:

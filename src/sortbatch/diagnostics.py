@@ -250,7 +250,7 @@ def policy_iid_report(
 # ---------------------------------------------------------------------------
 
 
-def iid_report_to_dict(report: IIDReport, include_cycles: bool = False) -> dict:
+def iid_report_to_dict(report: IIDReport) -> dict:
     cycle = None
     if report.cycle is not None:
         cycle = {
@@ -259,8 +259,6 @@ def iid_report_to_dict(report: IIDReport, include_cycles: bool = False) -> dict:
             "n_cycles": len(report.cycle.cycles),
             "uninformative": report.cycle.uninformative,
         }
-        if include_cycles:
-            cycle["cycles"] = [asdict(c) for c in report.cycle.cycles]
     return {
         "metric_tag": report.metric_tag,
         "config": asdict(report.config),

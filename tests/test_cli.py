@@ -2,11 +2,13 @@
 
 import json
 import shutil
+from dataclasses import fields
 
 import pytest
 
 from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, main, run_sweep
 from sortbatch.corpus import SentencePair, SynthParams, load_corpus
+from sortbatch.cost import RunReport
 
 GEN_FLAGS = ["--n", "200", "--mean-src", "10", "--std-src", "3", "--max-len", "50"]
 
@@ -307,16 +309,45 @@ def test_report_malformed_report_is_data_error(corpus_file, tmp_path, capsys):
     assert "'m'" in err
 
 
-def test_report_malformed_per_batch_entry_is_data_error(corpus_file, tmp_path, capsys):
+def test_report_json_keys_are_runreport_fields(corpus_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)
+    report = json.loads((out / "run_k1_seed0" / "report.json").read_text(encoding="utf-8"))
+    assert report.keys() == {f.name for f in fields(RunReport)}
+
+
+def test_report_with_per_batch_block_is_data_error(corpus_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)
     path = out / "run_k1_seed0" / "report.json"
     report = json.loads(path.read_text(encoding="utf-8"))
-    del report["per_batch"][3]["size"]
+    report["per_batch"] = []
     path.write_text(json.dumps(report), encoding="utf-8")
     code, _, err = run(["report", str(out)], capsys)
     assert code == EXIT_DATA
-    assert "per_batch[3]" in err and "'size'" in err
+    assert "'per_batch'" in err and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("config", "m", "64"),
+        ("config", "seed", None),
+        ("config", "drop_last", "no"),
+        (None, "avg_padded_src", "x"),
+        (None, "total_linear_cost", None),
+    ],
+)
+def test_report_value_of_wrong_type_is_data_error(corpus_file, tmp_path, capsys, section, key, value):
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "3"), seeds=("0",)), capsys)
+    path = out / "run_k3_seed0" / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    (report[section] if section else report)[key] = value
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, _, err = run(["report", str(out)], capsys)
+    assert code == EXIT_DATA
+    assert repr(key) in err and str(path) in err
 
 
 def test_report_same_run_twice_is_data_error(corpus_file, tmp_path, capsys):

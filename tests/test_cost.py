@@ -134,16 +134,17 @@ def test_totals_equal_per_batch_sums(case):
     if not batches:
         return
     report = summarize_run(batches, config)
-    assert report.n_batches == len(report.per_batch)
-    assert report.total_linear_cost == sum(r.cost.linear_cost for r in report.per_batch)
-    assert report.total_quadratic_cost == sum(r.cost.quadratic_cost for r in report.per_batch)
-    assert report.total_useful_src == sum(r.cost.useful_src for r in report.per_batch)
-    assert report.total_padded_tgt == sum(r.cost.padded_tgt_total for r in report.per_batch)
-    assert report.n_pairs == sum(r.cost.size for r in report.per_batch)
-    assert math.isclose(
-        report.avg_padded_src,
-        sum(r.cost.padded_src for r in report.per_batch) / report.n_batches,
-    )
+    costs = [cost_of_batch(batch) for batch in batches]
+    assert report.n_batches == len(costs)
+    assert report.n_pairs == sum(c.size for c in costs)
+    assert report.total_useful_src == sum(c.useful_src for c in costs)
+    assert report.total_useful_tgt == sum(c.useful_tgt for c in costs)
+    assert report.total_padded_src == sum(c.padded_src_total for c in costs)
+    assert report.total_padded_tgt == sum(c.padded_tgt_total for c in costs)
+    assert report.total_linear_cost == sum(c.linear_cost for c in costs)
+    assert report.total_quadratic_cost == sum(c.quadratic_cost for c in costs)
+    assert report.total_cross_cost == sum(c.cross_cost for c in costs)
+    assert math.isclose(report.avg_padded_src, sum(c.padded_src for c in costs) / len(costs))
 
 
 @given(corpus_and_config(max_n=36, max_m=6, max_k=4))
