@@ -49,7 +49,6 @@ from .diagnostics import (
     cycle_analysis,
     extract_series,
     iid_report,
-    policy_iid_report,
 )
 
 __version__ = "0.1.0"
@@ -90,6 +89,5 @@ __all__ = [
     "cycle_analysis",
     "extract_series",
     "iid_report",
-    "policy_iid_report",
     "__version__",
 ]

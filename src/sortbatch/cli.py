@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +39,6 @@ from .corpus import (
     LENGTH_DISTS,
     LENGTHS_TSV,
     LOGNORMAL,
-    Corpus,
     LengthStats,
     SynthParams,
     compute_stats,
@@ -160,31 +161,26 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
       corpus.tsv, sweep.json, comparison.csv, comparison.md,
       run_k{label}_seed{seed}/{report.json, batches.jsonl, iid.json}
 
-    Deterministic for a fixed spec. On failure every path created by this
-    call is removed before the exception propagates.
+    Deterministic for a fixed spec. out_dir holds one sweep: it is written to
+    a hidden sibling, .{name}.{pid}.tmp, that replaces out_dir whole once
+    complete, so a failed call leaves out_dir as it was. A non-directory or a
+    non-empty directory without sweep.json is refused with FileExistsError.
     """
+    out = Path(os.path.abspath(spec.out_dir))
+    if out.exists() and (not out.is_dir() or (any(out.iterdir()) and not (out / "sweep.json").is_file())):
+        raise FileExistsError(f"{spec.out_dir}: exists and holds no sweep; refusing to replace it")
     if spec.corpus_path is not None:
         corpus = load_corpus(spec.corpus_path)
     else:
         corpus = synth_generate(spec.synth)
     digest = corpus_hash(corpus)
 
-    created_files: list[Path] = []
-    created_dirs: list[Path] = []
-
-    def _mkdir(path: Path) -> None:
-        if not path.exists():
-            path.mkdir(parents=True)
-            created_dirs.append(path)
-
-    def _track(path: Path) -> Path:
-        created_files.append(path)
-        return path
-
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    stage.mkdir()  # not mkdtemp: its mode 0700 would become the mode of out_dir
     try:
-        _mkdir(spec.out_dir)
-        write_lengths_tsv(corpus, _track(spec.out_dir / "corpus.tsv"))
-        with open(_track(spec.out_dir / "sweep.json"), "w", encoding="utf-8") as handle:
+        write_lengths_tsv(corpus, stage / "corpus.tsv")
+        with open(stage / "sweep.json", "w", encoding="utf-8") as handle:
             json.dump(_sweep_record(spec, digest), handle, indent=2, sort_keys=True)
             handle.write("\n")
 
@@ -192,29 +188,39 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
         for k_value in spec.k_values:
             for seed in spec.seeds:
                 config = _config_for(spec, k_value, seed)
-                run_dir = spec.out_dir / f"run_k{_k_text(k_value)}_seed{seed}"
-                _mkdir(run_dir)
+                run_dir = stage / f"run_k{_k_text(k_value)}_seed{seed}"
+                run_dir.mkdir()
                 batches = run_epochs(corpus, config)
                 report = summarize_run(batches, config, corpus_hash=digest)
                 reports.append(report)
-                write_report_json(report, _track(run_dir / "report.json"))
-                write_batches_jsonl(batches, _track(run_dir / "batches.jsonl"))
-                write_iid_report_json(iid_report(batches, config), _track(run_dir / "iid.json"))
+                write_report_json(report, run_dir / "report.json")
+                write_batches_jsonl(batches, run_dir / "batches.jsonl")
+                write_iid_report_json(iid_report(batches, config), run_dir / "iid.json")
 
         comparison = compare_costs(reports)
         for name, render in (("comparison.csv", comparison_to_csv), ("comparison.md", comparison_to_markdown)):
-            with open(_track(spec.out_dir / name), "w", encoding="utf-8") as handle:
+            with open(stage / name, "w", encoding="utf-8") as handle:
                 handle.write(render(comparison))
+        _publish(stage, out)
         return comparison, reports
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _publish(stage: Path, out: Path) -> None:
+    """Rename stage onto out; an earlier sweep there is moved aside (suffix
+    .old), put back if the rename fails, and deleted once it succeeds."""
+    if not out.exists():
+        stage.rename(out)
+        return
+    aside = stage.with_suffix(".old")
+    out.rename(aside)
+    try:
+        stage.rename(out)
     except BaseException:
-        for path in created_files:
-            path.unlink(missing_ok=True)
-        for path in reversed(created_dirs):
-            try:
-                path.rmdir()
-            except OSError:
-                pass
+        aside.rename(out)
         raise
+    shutil.rmtree(aside)
 
 
 def collect_reports(paths: Sequence[Path]) -> list[RunReport]:
@@ -237,26 +243,10 @@ def collect_reports(paths: Sequence[Path]) -> list[RunReport]:
 # stats rendering
 # ---------------------------------------------------------------------------
 
-_STAT_FIELDS = (
-    "n_pairs",
-    "mean_src",
-    "std_src",
-    "max_src",
-    "mean_tgt",
-    "std_tgt",
-    "max_tgt",
-    "mean_pairwise_abs_diff",
-    "max_len_filter",
-)
-
-
-def _stat_values(stats: LengthStats, corpus: Corpus) -> dict[str, object]:
-    values = {name: getattr(stats, name, None) for name in _STAT_FIELDS}
-    return {**values, "n_pairs": len(corpus), "max_len_filter": corpus.max_len_filter}
-
-
-def _render_stats(stats: LengthStats, corpus: Corpus, fmt: str) -> str:
-    values = _stat_values(stats, corpus)
+def _render_stats(stats: LengthStats, fmt: str) -> str:
+    """The stats table: every LengthStats field but the histograms, which
+    only json adds (with string keys, so sort_keys orders them as text)."""
+    values = {f.name: getattr(stats, f.name) for f in fields(LengthStats) if not f.name.startswith("histogram_")}
     if fmt == "json":
         values["histogram_src"] = {str(k): v for k, v in stats.histogram_src.items()}
         values["histogram_tgt"] = {str(k): v for k, v in stats.histogram_tgt.items()}
@@ -266,11 +256,9 @@ def _render_stats(stats: LengthStats, corpus: Corpus, fmt: str) -> str:
         for name, v in values.items()
     }
     if fmt == "csv":
-        header = ",".join(_STAT_FIELDS)
-        row = ",".join(cells[name] for name in _STAT_FIELDS)
-        return f"{header}\n{row}\n"
+        return f"{','.join(cells)}\n{','.join(cells.values())}\n"
     lines = ["| stat | value |", "|---|---|"]
-    lines += [f"| {name} | {cells[name] or '-'} |" for name in _STAT_FIELDS]
+    lines += [f"| {name} | {cell or '-'} |" for name, cell in cells.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -386,7 +374,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.max_len is not None:
         corpus = filter_max_len(corpus, args.max_len)
     stats = compute_stats(corpus)
-    rendered = _render_stats(stats, corpus, args.format)
+    rendered = _render_stats(stats, args.format)
     if args.out is not None:
         args.out.write_text(rendered, encoding="utf-8")
     else:

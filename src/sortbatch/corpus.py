@@ -1,10 +1,10 @@
 """Paired-length corpora: loading, filtering, shuffling, statistics, and synthesis.
 
 A corpus is a set of int64 columns (pair ids, source lengths, target lengths)
-with one row per sentence pair. Sentence lengths are whitespace-token counts
-(parallel-tsv) or precomputed integers (lengths-tsv). Corpus values are
-immutable after construction; every operation is a pure function returning a
-new Corpus, so values are safe to share across threads.
+with one row per sentence pair; no sentence text is kept. Lengths are
+whitespace-token counts (parallel-tsv) or precomputed integers (lengths-tsv).
+Corpus values are immutable after construction; every operation is a pure
+function returning a new Corpus, so values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -57,38 +56,26 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SentencePair:
-    """One parallel example: a source/target length pair with a stable id.
-
-    Text payloads are optional (absent in lengths-only mode); when present,
-    the stored length must equal the whitespace-token count of the text.
-    """
+    """One parallel example: a source/target length pair with a stable id."""
 
     id: int
     src_len: int
     tgt_len: int
-    src_text: str | None = None
-    tgt_text: str | None = None
 
     def __post_init__(self) -> None:
         if self.src_len < 1 or self.tgt_len < 1:
             raise ValueError(
                 f"pair {self.id}: lengths must be >= 1, got ({self.src_len}, {self.tgt_len})"
             )
-        if self.src_text is not None and len(self.src_text.split()) != self.src_len:
-            raise ValueError(f"pair {self.id}: src_len does not match src_text token count")
-        if self.tgt_text is not None and len(self.tgt_text.split()) != self.tgt_len:
-            raise ValueError(f"pair {self.id}: tgt_len does not match tgt_text token count")
 
 
 class Corpus:
     """Paired lengths as read-only int64 columns, plus a record of how they were made.
 
-    Row r is one pair: ids[r], src[r], tgt[r] and, for parallel-tsv input,
-    texts[r] = (source, target) in an (n, 2) object array (otherwise None).
-    Build one from SentencePair values, Corpus(pairs), or from columns,
-    Corpus(columns=(ids, src, tgt)); either way lengths must be >= 1, ids
-    distinct and no length above max_len_filter. `pairs` is a SentencePair
-    view, built on first use. Int64 array columns are used without a copy,
+    Row r is one pair: ids[r], src[r], tgt[r]. Build one from SentencePair values,
+    Corpus(pairs), or from columns, Corpus(columns=(ids, src, tgt)); either way lengths
+    must be >= 1, ids distinct and no length above max_len_filter. `pairs` is a
+    SentencePair view, built on first use. Int64 array columns are used without a copy,
     so the caller must not write to them afterwards.
     """
 
@@ -99,25 +86,20 @@ class Corpus:
         shuffle_seed: int | None = None,
         *,
         columns: tuple[ArrayLike, ArrayLike, ArrayLike] | None = None,
-        texts: ArrayLike | None = None,
     ) -> None:
         if columns is None:
             pairs = self.__dict__["pairs"] = tuple(pairs)  # the given values serve as the view
             columns = ([p.id for p in pairs], [p.src_len for p in pairs], [p.tgt_len for p in pairs])
-            if any(p.src_text is not None or p.tgt_text is not None for p in pairs):
-                texts = [(p.src_text, p.tgt_text) for p in pairs]
         self.ids, self.src, self.tgt = (np.asarray(c, dtype=np.int64).view() for c in columns)
-        self.texts = None if texts is None else np.array(texts, dtype=object).reshape(-1, 2)
-        for column in (self.ids, self.src, self.tgt, self.texts):
-            if column is not None:
-                column.setflags(write=False)
+        for column in (self.ids, self.src, self.tgt):
+            column.setflags(write=False)
         self.max_len_filter = max_len_filter
         self.shuffle_seed = shuffle_seed
         self._lengths_tsv: str | None = None
 
         n = len(self.ids)
         shapes = {self.ids.shape, self.src.shape, self.tgt.shape}
-        if shapes != {(n,)} or (self.texts is not None and len(self.texts) != n):
+        if shapes != {(n,)}:
             raise ValueError("corpus columns must be one-dimensional and of equal length")
         short = np.flatnonzero((self.src < 1) | (self.tgt < 1))
         if short.size:
@@ -132,15 +114,13 @@ class Corpus:
 
     def take(self, rows: ArrayLike, max_len_filter: int | None, shuffle_seed: int | None) -> Corpus:
         """The given rows, in the given order, with the given record."""
-        texts = None if self.texts is None else self.texts[rows]
         columns = (self.ids[rows], self.src[rows], self.tgt[rows])
-        return Corpus(columns=columns, texts=texts, max_len_filter=max_len_filter, shuffle_seed=shuffle_seed)
+        return Corpus(columns=columns, max_len_filter=max_len_filter, shuffle_seed=shuffle_seed)
 
     @cached_property
     def pairs(self) -> tuple[SentencePair, ...]:
-        texts = repeat(()) if self.texts is None else self.texts.tolist()
-        rows = zip(self.ids.tolist(), self.src.tolist(), self.tgt.tolist(), texts)
-        return tuple(SentencePair(i, s, t, *text) for i, s, t, text in rows)
+        rows = zip(self.ids.tolist(), self.src.tolist(), self.tgt.tolist())
+        return tuple(SentencePair(*row) for row in rows)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -151,15 +131,18 @@ class Corpus:
 
 @dataclass(frozen=True)
 class LengthStats:
-    """Population length statistics of a corpus, per side."""
+    """Pair count, per-side length statistics and length filter of a corpus,
+    in the order `sortbatch stats` prints them; the two histograms come last."""
 
+    n_pairs: int
     mean_src: float
-    mean_tgt: float
     std_src: float
-    std_tgt: float
     max_src: int
+    mean_tgt: float
+    std_tgt: float
     max_tgt: int
     mean_pairwise_abs_diff: float
+    max_len_filter: int | None
     histogram_src: dict[int, int]
     histogram_tgt: dict[int, int]
 
@@ -214,8 +197,8 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
     """Read a corpus file in the given format.
 
     parallel-tsv: one pair per line, source and target sentences separated by
-    exactly one tab; lengths are whitespace-token counts. lengths-tsv: two
-    tab-separated positive integers per line.
+    exactly one tab; only their whitespace-token counts are kept. lengths-tsv:
+    two tab-separated positive ASCII integers per line.
 
     Raises CorpusFormatError on malformed or empty files, naming the line.
     """
@@ -232,8 +215,8 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
     if not lines:
         raise CorpusFormatError(f"{path}: empty corpus file")
     rows = [_parse_line(line, fmt, path, lineno) for lineno, line in enumerate(lines, start=1)]
-    src, tgt, *texts = zip(*rows)
-    return Corpus(columns=(np.arange(len(rows)), src, tgt), texts=list(zip(*texts)) if texts else None)
+    src, tgt = zip(*rows)
+    return Corpus(columns=(np.arange(len(rows)), src, tgt))
 
 
 def _plain_lengths(text: str) -> np.ndarray | None:
@@ -250,8 +233,8 @@ def _plain_lengths(text: str) -> np.ndarray | None:
     return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
-def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple:
-    """(src_len, tgt_len), plus both texts for parallel-tsv, of one line."""
+def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple[int, int]:
+    """(src_len, tgt_len) of one line."""
     columns = line.split("\t")
     if len(columns) != 2:
         raise CorpusFormatError(
@@ -261,9 +244,9 @@ def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple:
         src_len, tgt_len = (len(column.split()) for column in columns)
         if src_len < 1 or tgt_len < 1:
             raise CorpusFormatError(f"{path}: line {lineno}: empty source or target sentence")
-        return src_len, tgt_len, *columns
+        return src_len, tgt_len
     for column in columns:
-        if not column.isdigit():
+        if not (column.isascii() and column.isdigit()):
             raise CorpusFormatError(
                 f"{path}: line {lineno}: lengths must be positive integers, got {column!r}"
             )
@@ -326,13 +309,15 @@ def compute_stats(corpus: Corpus) -> LengthStats:
         raise ValueError("compute_stats requires a nonempty corpus")
     src, tgt = corpus.src, corpus.tgt
     return LengthStats(
+        n_pairs=len(corpus),
         mean_src=float(src.mean()),
-        mean_tgt=float(tgt.mean()),
         std_src=float(src.std()),
-        std_tgt=float(tgt.std()),
         max_src=int(src.max()),
+        mean_tgt=float(tgt.mean()),
+        std_tgt=float(tgt.std()),
         max_tgt=int(tgt.max()),
         mean_pairwise_abs_diff=float(np.abs(src - tgt).mean()),
+        max_len_filter=corpus.max_len_filter,
         histogram_src=_histogram(src),
         histogram_tgt=_histogram(tgt),
     )

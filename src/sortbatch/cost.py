@@ -100,6 +100,10 @@ class RunReport:
 def _cost_columns(stream: BatchStream) -> dict[str, np.ndarray]:
     """Each BatchCost field, in field order, as one column over the batches."""
     size, padded_src, padded_tgt = stream.sizes, stream.padded_src, stream.padded_tgt
+    # Every per-batch column is at most this bound; past int64 the columns below would wrap.
+    bound = int(size.max()) * (int(padded_src.max()) ** 2 + int(padded_tgt.max()) ** 2)
+    if bound > np.iinfo(np.int64).max:
+        raise ValueError(f"lengths too large: a batch cost of up to {bound} does not fit in int64")
     useful_src, useful_tgt = (np.add.reduceat(side, stream.starts) for side in (stream.src, stream.tgt))
     total_src, total_tgt = size * padded_src, size * padded_tgt
     return dict(
@@ -301,7 +305,7 @@ def report_to_dict(report: RunReport) -> dict:
 def _check_keys(d: object, cls: type, what: str) -> None:
     """Raise ValueError unless d is a dict holding exactly the fields of cls
     (defaulted ones optional), each of its field's type: a float field takes an
-    int, only a bool field takes a bool, a dataclass field is checked apart."""
+    int but no NaN or infinity, only a bool field a bool; dataclasses apart."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
     required = {f.name for f in fields(cls) if f.default is MISSING}
@@ -319,6 +323,8 @@ def _check_keys(d: object, cls: type, what: str) -> None:
         accepted = int | float if hint is float else hint
         if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
             raise ValueError(f"{what} field {name!r} must be {getattr(hint, '__name__', hint)}, got {type(value).__name__}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{what} field {name!r} must be finite, got {value}")
 
 
 def report_from_dict(d: dict) -> RunReport:

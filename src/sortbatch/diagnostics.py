@@ -17,7 +17,6 @@ No single batch statistic is privileged; several metric tags are exposed.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,8 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .batcher import PARTIAL_SORT, Batch, BatchPlanConfig, BatchStream, run_epochs
-from .corpus import Corpus
+from .batcher import PARTIAL_SORT, Batch, BatchPlanConfig, BatchStream
 
 #: Per-batch scalars: each maps a stream to one value per batch.
 METRICS: dict[str, Callable[[BatchStream], np.ndarray]] = {
@@ -48,10 +46,8 @@ __all__ = [
     "autocorrelation",
     "cycle_analysis",
     "iid_report",
-    "policy_iid_report",
     "iid_report_to_dict",
     "write_iid_report_json",
-    "write_series_csv",
 ]
 
 
@@ -230,21 +226,6 @@ def iid_report(
     )
 
 
-def policy_iid_report(
-    corpus: Corpus,
-    configs: Sequence[BatchPlanConfig],
-    metric_tag: str = "padded_src",
-    max_lag: int | None = None,
-) -> list[IIDReport]:
-    """Run each config over the corpus and diagnose its batch series."""
-    if not configs:
-        raise ValueError("need at least one config")
-    return [
-        iid_report(run_epochs(corpus, config), config, metric_tag, max_lag)
-        for config in configs
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -274,12 +255,3 @@ def write_iid_report_json(report: IIDReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(iid_report_to_dict(report), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def write_series_csv(series: BatchSeries, path: str | Path) -> None:
-    """Raw series dump for external plotting: one (index, value) row per batch."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["index", series.metric_tag])
-        for i, value in enumerate(series.values):
-            writer.writerow([i, format(value, ".6f")])

@@ -6,9 +6,11 @@ from dataclasses import fields
 
 import pytest
 
+from sortbatch import cli
 from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, main, run_sweep
 from sortbatch.corpus import SentencePair, SynthParams, load_corpus
 from sortbatch.cost import RunReport
+from sortbatch.diagnostics import write_iid_report_json
 
 GEN_FLAGS = ["--n", "200", "--mean-src", "10", "--std-src", "3", "--max-len", "50"]
 
@@ -105,6 +107,18 @@ def test_stats_json_includes_histograms(corpus_file, capsys):
     payload = json.loads(stdout)
     assert payload["n_pairs"] == 100
     assert sum(payload["histogram_src"].values()) == 100
+
+
+def test_stats_csv_header_and_json_histogram_key_order(corpus_file, capsys):
+    code, stdout, _ = run(["stats", str(corpus_file), "--format", "csv"], capsys)
+    assert code == EXIT_OK
+    assert stdout.splitlines()[0] == (
+        "n_pairs,mean_src,std_src,max_src,mean_tgt,std_tgt,max_tgt,mean_pairwise_abs_diff,max_len_filter"
+    )
+    code, stdout, _ = run(["stats", str(corpus_file), "--format", "json"], capsys)
+    assert code == EXIT_OK
+    keys = list(json.loads(stdout)["histogram_src"])
+    assert keys == sorted(str(length) for length in range(1, 21))  # "1", "10", ..., "19", "2", "20", "3"
 
 
 def test_stats_hist_out(corpus_file, tmp_path, capsys):
@@ -215,6 +229,73 @@ def test_simulate_cleans_up_on_failure(corpus_file, tmp_path, capsys):
     assert code == EXIT_DATA
     assert err
     assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.tsv"]  # no stage left behind
+
+
+def tree(root):
+    """Every path under root, mapped to its bytes (None for a directory)."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+def test_failed_rerun_keeps_earlier_sweep(corpus_file, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep"
+    assert run(simulate_args(corpus_file, out), capsys)[0] == EXIT_OK
+    before = tree(out)
+    calls = []
+
+    def fail_second_cell(report, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("injected write failure")
+        write_iid_report_json(report, path)
+
+    monkeypatch.setattr(cli, "write_iid_report_json", fail_second_cell)
+    code, _, err = run(simulate_args(corpus_file, out, k=("1", "5")), capsys)
+    assert code == EXIT_IO
+    assert "injected" in err
+    assert tree(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "sweep"]
+
+
+def test_rerun_replaces_earlier_sweep(corpus_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "10"), seeds=("0",)), capsys)
+    code, _, _ = run(simulate_args(corpus_file, out, k=("1", "20"), seeds=("0",)), capsys)
+    assert code == EXIT_OK
+    assert not (out / "run_k10_seed0").exists()
+    code, stdout, _ = run(["report", str(out), "--format", "csv"], capsys)
+    assert code == EXIT_OK
+    assert stdout == (out / "comparison.csv").read_text(encoding="utf-8")
+
+
+def test_simulate_refuses_out_that_holds_no_sweep(corpus_file, tmp_path, capsys):
+    foreign = tmp_path / "notes"
+    foreign.mkdir()
+    (foreign / "todo.txt").write_text("keep me\n", encoding="utf-8")
+    before = tree(foreign)
+    code, _, err = run(simulate_args(corpus_file, foreign), capsys)
+    assert code == EXIT_IO
+    assert "refusing" in err
+    assert tree(foreign) == before
+    corpus_text = corpus_file.read_text(encoding="utf-8")
+    code, _, _ = run(simulate_args(corpus_file, corpus_file), capsys)
+    assert code == EXIT_IO
+    assert corpus_file.read_text(encoding="utf-8") == corpus_text
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run(simulate_args(corpus_file, empty), capsys)[0] == EXIT_OK
+    assert (empty / "sweep.json").is_file()
+
+
+def test_simulate_costs_beyond_int64_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "huge.tsv"
+    corpus.write_text("3000000000\t5\n4000000000\t6\n", encoding="utf-8")
+    argv = ["simulate", "--corpus", str(corpus), "--m", "2", "--k", "1", "--seeds", "0",
+            "--out", str(tmp_path / "sweep")]
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_DATA
+    assert "int64" in err
+    assert not (tmp_path / "sweep").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +417,8 @@ def test_report_with_per_batch_block_is_data_error(corpus_file, tmp_path, capsys
         ("config", "drop_last", "no"),
         (None, "avg_padded_src", "x"),
         (None, "total_linear_cost", None),
+        (None, "avg_padded_src", float("nan")),
+        (None, "overall_waste_src", float("inf")),
     ],
 )
 def test_report_value_of_wrong_type_is_data_error(corpus_file, tmp_path, capsys, section, key, value):

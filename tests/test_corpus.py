@@ -42,12 +42,6 @@ def test_pair_rejects_nonpositive_lengths():
         SentencePair(id=0, src_len=3, tgt_len=-1)
 
 
-def test_pair_text_must_match_length():
-    SentencePair(id=0, src_len=3, tgt_len=2, src_text="a b c", tgt_text="d e")
-    with pytest.raises(ValueError):
-        SentencePair(id=0, src_len=2, tgt_len=2, src_text="a b c", tgt_text="d e")
-
-
 def test_corpus_rejects_duplicate_ids():
     pair = SentencePair(id=0, src_len=1, tgt_len=1)
     with pytest.raises(ValueError):
@@ -80,7 +74,6 @@ def test_load_parallel_tsv_counts_whitespace_tokens(tmp_path):
     corpus = load_corpus(path, fmt=PARALLEL_TSV)
     pair = corpus.pairs[0]
     assert (pair.src_len, pair.tgt_len) == (3, 2)
-    assert pair.src_text == "a b c"
 
 
 def test_load_rejects_nonpositive_length(tmp_path):
@@ -115,6 +108,8 @@ def test_load_rejects_non_integer(tmp_path):
         ("3 \t4\n", 1),
         ("3\t4\n5", 2),
         ("3\t4\n5\t+6\n", 2),
+        ("3\t4\n\u0663\t5\n", 2),  # ARABIC-INDIC DIGIT THREE
+        ("\u00b2\t5\n", 1),  # SUPERSCRIPT TWO
     ],
 )
 def test_load_names_first_malformed_line(tmp_path, text, line):

@@ -18,9 +18,7 @@ from sortbatch.diagnostics import (
     extract_series,
     iid_report,
     iid_report_to_dict,
-    policy_iid_report,
     write_iid_report_json,
-    write_series_csv,
 )
 
 from .helpers import make_corpus
@@ -171,7 +169,7 @@ def test_cycles_segment_per_epoch():
 
 
 # ---------------------------------------------------------------------------
-# iid_report / policy_iid_report
+# iid_report
 # ---------------------------------------------------------------------------
 
 
@@ -214,20 +212,6 @@ def test_iid_report_degrades_on_tiny_streams():
     assert report.autocorr.degenerate
 
 
-def test_policy_iid_report_runs_each_config():
-    corpus = make_corpus([(i % 14 + 1, i % 9 + 1) for i in range(128)])
-    configs = [
-        BatchPlanConfig(m=4, k=1, policy=UNSORTED, seed=0),
-        BatchPlanConfig(m=4, k=4, policy=PARTIAL_SORT, seed=0),
-    ]
-    reports = policy_iid_report(corpus, configs)
-    assert len(reports) == 2
-    assert reports[0].cycle is None
-    assert reports[1].cycle is not None
-    with pytest.raises(ValueError):
-        policy_iid_report(corpus, [])
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -244,13 +228,3 @@ def test_iid_report_json_shape(tmp_path):
     path = tmp_path / "iid.json"
     write_iid_report_json(report, path)
     assert json.loads(path.read_text())["config"]["m"] == 3
-
-
-def test_series_csv_dump(tmp_path):
-    series = extract_series([batch_of([2, 1]), batch_of([5, 3], iteration=1)], "padded_src")
-    path = tmp_path / "series.csv"
-    write_series_csv(series, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,padded_src"
-    assert lines[1] == "0,2.000000"
-    assert len(lines) == 3
