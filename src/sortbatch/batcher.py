@@ -180,12 +180,24 @@ def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> Corpus:
         block = min(config.m, n)
     else:
         block = min(config.m * config.k, n)
-    src, tgt, full = shuffled.src, shuffled.tgt, n - n % block
+    key, full = _sort_key(shuffled.src, shuffled.tgt), n - n % block
     # One row per whole block, each sorted on its own; the short tail is the last block.
-    head = np.lexsort((tgt[:full].reshape(-1, block), src[:full].reshape(-1, block)))
+    head = np.argsort(key[:full].reshape(-1, block), axis=1, kind="stable")
     head += np.arange(0, full, block)[:, None]
-    order = np.concatenate([head.ravel(), np.lexsort((tgt[full:], src[full:])) + full])
+    order = np.concatenate([head.ravel(), np.argsort(key[full:], kind="stable") + full])
     return shuffled.take(order, shuffled.max_len_filter, shuffled.shuffle_seed)
+
+
+def _sort_key(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """One integer per pair that orders as (src, tgt) does: src * (max_tgt + 1)
+    + tgt, in the narrowest unsigned type that holds it (16 bits or fewer
+    radix-sort). Where that key would pass the int64 maximum, the dense ranks
+    of each column stand in for the lengths; ranks are below n, so they fit."""
+    top = int(tgt.max()) + 1
+    if (int(src.max()) + 1) * top > 2**63:
+        src, tgt = (np.unique(column, return_inverse=True)[1] for column in (src, tgt))
+        top = int(tgt.max()) + 1
+    return (src * top + tgt).astype(np.min_scalar_type((int(src.max()) + 1) * top - 1))
 
 
 def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> BatchStream:

@@ -39,7 +39,6 @@ __all__ = [
     "METRICS",
     "BatchSeries",
     "AutocorrResult",
-    "CycleSummary",
     "CycleReport",
     "IIDReport",
     "extract_series",
@@ -75,23 +74,13 @@ class AutocorrResult:
 
 
 @dataclass(frozen=True)
-class CycleSummary:
-    index: int
-    epoch: int
-    n_batches: int
-    min_padded_src: int
-    max_padded_src: int
-    non_decreasing: bool
-
-
-@dataclass(frozen=True)
 class CycleReport:
     """Refill-cycle monotonicity. k=1 cycles are single batches, trivially
     non-decreasing, so the score carries no signal there."""
 
     k: int
     cycle_score: float
-    cycles: tuple[CycleSummary, ...]
+    n_cycles: int
     uninformative: bool = False
 
 
@@ -126,33 +115,46 @@ def extract_series(
 def autocorrelation(series: BatchSeries, max_lag: int) -> AutocorrResult:
     """Sample Pearson correlation of (v_t, v_{t+lag}) for lag in 1..max_lag.
 
-    A constant series has no defined correlation; it reports 0 at every lag
-    with the degenerate flag set. The series must be longer than max_lag + 2
-    so every lag keeps at least three point pairs.
+    The same Pearson r as np.corrcoef(v[:-lag], v[lag:]), up to rounding in
+    the last digits, for all lags in O(n * max_lag): the series is centred
+    once on its mean, every lag's head and tail sums and sums of squares come
+    from prefix and suffix cumulative sums, and its cross sum from one dot
+    product. A lag where those sums lose digits to cancellation (a slice's
+    sum of squares about the series mean is over 100 times that about its
+    own mean) is recomputed about the slice means.
+
+    A lag whose head or tail slice is constant, found exactly from the
+    lengths of the first and last runs of equal values, or whose r is not
+    finite reports 0 with the degenerate flag set. The series must be longer
+    than max_lag + 2 so every lag keeps at least three point pairs.
     """
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     values = np.asarray(series.values, dtype=float)
-    if values.size <= max_lag + 2:
-        raise ValueError(
-            f"series of length {values.size} too short for max_lag {max_lag}"
-        )
-    lags: dict[int, float] = {}
-    degenerate = False
-    for lag in range(1, max_lag + 1):
-        head = values[:-lag]
-        tail = values[lag:]
-        if np.ptp(head) == 0 or np.ptp(tail) == 0:
-            lags[lag] = 0.0
-            degenerate = True
-            continue
-        r = float(np.corrcoef(head, tail)[0, 1])
-        if not np.isfinite(r):
-            lags[lag] = 0.0
-            degenerate = True
-            continue
-        lags[lag] = float(np.clip(r, -1.0, 1.0))
-    return AutocorrResult(lags=lags, degenerate=degenerate)
+    n = values.size
+    if n <= max_lag + 2:
+        raise ValueError(f"series of length {n} too short for max_lag {max_lag}")
+    count = n - np.arange(1, max_lag + 1)  # point pairs per lag
+    change = np.flatnonzero(values[1:] != values[:-1])
+    first_run, last_run = (change[0] + 1, n - 1 - change[-1]) if change.size else (n, n)
+    constant = (first_run >= count) | (last_run >= count)
+
+    x = values - values.mean()
+    square = x * x
+    head_sum, head_sq = np.cumsum(x)[count - 1], np.cumsum(square)[count - 1]
+    tail_sum, tail_sq = np.cumsum(x[::-1])[count - 1], np.cumsum(square[::-1])[count - 1]
+    cross = np.array([x[:-lag] @ x[lag:] for lag in range(1, max_lag + 1)])
+    head_var = head_sq - head_sum**2 / count
+    tail_var = tail_sq - tail_sum**2 / count
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (cross - head_sum * tail_sum / count) / np.sqrt(head_var * tail_var)
+        for lag in np.flatnonzero(~constant & ((head_var <= head_sq / 100) | (tail_var <= tail_sq / 100))) + 1:
+            head, tail = values[:-lag] - values[:-lag].mean(), values[lag:] - values[lag:].mean()
+            r[lag - 1] = (head @ tail) / np.sqrt((head @ head) * (tail @ tail))
+
+    zero = constant | ~np.isfinite(r)
+    r = np.where(zero, 0.0, np.clip(r, -1.0, 1.0))
+    return AutocorrResult(lags=dict(enumerate(r.tolist(), start=1)), degenerate=bool(zero.any()))
 
 
 def cycle_analysis(batches: Sequence[Batch], config: BatchPlanConfig) -> CycleReport:
@@ -174,20 +176,11 @@ def cycle_analysis(batches: Sequence[Batch], config: BatchPlanConfig) -> CycleRe
     starts = np.flatnonzero(position % min(config.k, n) == 0)
     no_drop = np.diff(padded, prepend=padded[0]) >= 0
     no_drop[starts] = True
-    columns = (
-        epoch[starts],
-        np.diff(starts, append=n),
-        np.minimum.reduceat(padded, starts),
-        np.maximum.reduceat(padded, starts),
-        np.logical_and.reduceat(no_drop, starts),
-    )
-    cycles = tuple(
-        CycleSummary(i, *cycle) for i, cycle in enumerate(zip(*(c.tolist() for c in columns)))
-    )
+    non_decreasing = int(np.count_nonzero(np.logical_and.reduceat(no_drop, starts)))
     return CycleReport(
         k=config.k,
-        cycle_score=sum(c.non_decreasing for c in cycles) / len(cycles),
-        cycles=cycles,
+        cycle_score=non_decreasing / len(starts),
+        n_cycles=len(starts),
         uninformative=config.k == 1,
     )
 
@@ -237,7 +230,7 @@ def iid_report_to_dict(report: IIDReport) -> dict:
         cycle = {
             "k": report.cycle.k,
             "cycle_score": report.cycle.cycle_score,
-            "n_cycles": len(report.cycle.cycles),
+            "n_cycles": report.cycle.n_cycles,
             "uninformative": report.cycle.uninformative,
         }
     return {

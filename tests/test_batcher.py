@@ -1,5 +1,6 @@
 """Loader: block-sorted epoch order, batching, policies, epochs, determinism."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,31 @@ def test_epoch_order_matches_shuffle_permutation():
             for pair in sorted(shuffled[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
         ]
         assert epoch_order(corpus, config, 1).pairs == tuple(expected)
+
+
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [1, 2, 3, 2**62 - 1, 2**62, 2**62 + 1],  # src * (max_tgt + 1) overflows int64
+        [1, 2, INT64_MAX - 2, INT64_MAX - 1, INT64_MAX],
+        [1, 7, 300, 999, 1000],  # a key above 16 bits
+    ],
+)
+def test_epoch_order_is_lexsort_block_sort_at_any_length(lengths):
+    rng = np.random.default_rng(len(lengths))
+    pairs = rng.choice(lengths, size=(60, 2)).tolist()  # many ties on each side
+    corpus = Corpus(columns=(np.arange(60), *np.array(pairs, dtype=np.int64).T))
+    for policy, block in ((PARTIAL_SORT, 12), (UNSORTED, 3), (FULL_SORT, 60)):
+        config = BatchPlanConfig(m=3, k=4, policy=policy, seed=9)
+        shuffled = shuffle(corpus, epoch_shuffle_seed(9, 0))
+        expected = [
+            start + np.lexsort((shuffled.tgt[start : start + block], shuffled.src[start : start + block]))
+            for start in range(0, 60, block)
+        ]
+        assert epoch_order(corpus, config, 0).ids.tolist() == shuffled.ids[np.concatenate(expected)].tolist()
 
 
 # ---------------------------------------------------------------------------

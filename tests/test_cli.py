@@ -287,6 +287,21 @@ def test_simulate_refuses_out_that_holds_no_sweep(corpus_file, tmp_path, capsys)
     assert (empty / "sweep.json").is_file()
 
 
+@pytest.mark.parametrize("out", [".", ".."])
+def test_simulate_refuses_working_directory_and_its_ancestors(out, corpus_file, tmp_path, capsys, monkeypatch):
+    work = tmp_path / "outer" / "work"
+    work.mkdir(parents=True)
+    (work.parent / "sweep.json").write_text("{}\n", encoding="utf-8")  # so only the new check refuses ".."
+    monkeypatch.chdir(work)
+    target = work if out == "." else work.parent
+    inode, before = target.stat().st_ino, tree(target)
+    code, _, err = run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)
+    assert code == EXIT_IO
+    assert "working directory" in err
+    assert target.stat().st_ino == inode
+    assert tree(target) == before
+
+
 def test_simulate_costs_beyond_int64_is_data_error(tmp_path, capsys):
     corpus = tmp_path / "huge.tsv"
     corpus.write_text("3000000000\t5\n4000000000\t6\n", encoding="utf-8")

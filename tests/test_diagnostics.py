@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortbatch.batcher import FULL_SORT, PARTIAL_SORT, UNSORTED, BatchPlanConfig, run_epochs
+from sortbatch.corpus import SynthParams, synth_generate
 from sortbatch.diagnostics import (
     METRICS,
     BatchSeries,
@@ -113,6 +114,72 @@ def test_autocorr_bounded_and_reversal_symmetric(values):
         assert math.isclose(fwd.lags[lag], bwd.lags[lag], abs_tol=1e-9)
 
 
+def corrcoef_per_lag(values, max_lag):
+    """Reference: np.corrcoef of each lag's slices, clipped, with 0 for a lag
+    whose head or tail slice is constant (ptp == 0) or whose r is not finite.
+    Returns the lags and the set of lags zeroed that way."""
+    values = np.asarray(values, dtype=float)
+    lags, zeroed = {}, set()
+    for lag in range(1, max_lag + 1):
+        head, tail = values[:-lag], values[lag:]
+        r = float(np.corrcoef(head, tail)[0, 1]) if np.ptp(head) and np.ptp(tail) else math.nan
+        if not np.isfinite(r):
+            zeroed.add(lag)
+            r = 0.0
+        lags[lag] = float(np.clip(r, -1.0, 1.0))
+    return lags, zeroed
+
+
+def assert_matches_corrcoef(values, max_lag, tol):
+    result = autocorrelation(BatchSeries(tuple(values), "padded_src"), max_lag)
+    lags, zeroed = corrcoef_per_lag(values, max_lag)
+    assert result.degenerate == bool(zeroed)
+    assert sorted(result.lags) == list(range(1, max_lag + 1))
+    assert all(result.lags[lag] == 0.0 for lag in zeroed)
+    assert max(abs(result.lags[lag] - lags[lag]) for lag in lags) <= tol
+
+
+values_1e6 = st.integers(0, 10**6).map(float)
+
+
+@st.composite
+def lag_series(draw):
+    """Integer-valued series of four shapes, with a max_lag they support."""
+    kind = draw(st.sampled_from(["random", "sorted", "step", "blocks"]))
+    level = draw(st.integers(0, 10**6))
+    # Values next to a constant run are often within 2 of it: a nearly constant
+    # slice far from the series mean is where one-pass sums lose digits.
+    near = st.integers(max(0, level - 2), level + 2).map(float) if kind == "step" else values_1e6
+    if kind == "blocks":
+        block = draw(st.lists(values_1e6, min_size=1, max_size=6))
+        values = block * draw(st.integers(-(-4 // len(block)), 60 // len(block)))
+    else:
+        values = draw(st.lists(st.one_of(values_1e6, near), min_size=4, max_size=60))
+    if kind == "sorted":
+        values.sort()
+    if kind == "step":  # a constant head or tail, as padded_src has at a sorted epoch's ends
+        run = [float(level)] * draw(st.integers(1, len(values)))
+        values = run + values[len(run) :] if draw(st.booleans()) else values[: -len(run)] + run
+    return values, draw(st.integers(1, len(values) - 3))
+
+
+@given(lag_series())
+@example(([999_999.0] + [10.0**6] * 8 + [0.0], 7))  # nearly constant slices far from the mean
+@example(([0.1] * 7 + [5.0, 7.0, 9.0], 3))  # a constant head whose float mean is not 0.1
+@settings(max_examples=300, deadline=None)
+def test_autocorr_equals_per_lag_corrcoef(case):
+    values, max_lag = case
+    assert_matches_corrcoef(values, max_lag, tol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1])  # seed 1 has constant tail slices at its last lags
+def test_autocorr_equals_per_lag_corrcoef_on_a_partial_sort_stream(seed):
+    corpus = synth_generate(SynthParams(n=40_000, mean_src=10.68, std_src=3.17, max_len=50, pair_diff_mean=0.006))
+    config = BatchPlanConfig(m=64, k=500, policy=PARTIAL_SORT, seed=seed)
+    values = extract_series(run_epochs(corpus, config), "padded_src").values
+    assert_matches_corrcoef(values, default_max_lag(config, len(values)), tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # cycle_analysis
 # ---------------------------------------------------------------------------
@@ -125,9 +192,7 @@ def test_single_cycle_hand_trace():
     assert [b.padded_src for b in batches] == [2, 5]
     report = cycle_analysis(batches, config)
     assert report.cycle_score == 1.0
-    assert len(report.cycles) == 1
-    assert report.cycles[0].min_padded_src == 2
-    assert report.cycles[0].max_padded_src == 5
+    assert report.n_cycles == 1
     assert not report.uninformative
 
 
@@ -140,8 +205,8 @@ def test_divisible_epochs_score_exactly_one(seed, m, k, cycles):
     batches = run_epochs(corpus, config)
     report = cycle_analysis(batches, config)
     assert report.cycle_score == 1.0
-    assert all(c.n_batches == k for c in report.cycles)
-    assert len(report.cycles) == cycles
+    assert report.n_cycles == cycles
+    assert len(batches) == k * report.n_cycles
 
 
 def test_k1_cycles_flagged_uninformative():
@@ -161,11 +226,17 @@ def test_cycle_analysis_rejects_other_policies():
 
 
 def test_cycles_segment_per_epoch():
-    corpus = make_corpus([(i % 6 + 1, i % 6 + 1) for i in range(12)])
-    config = BatchPlanConfig(m=2, k=3, policy=PARTIAL_SORT, seed=2, epochs=2)
-    report = cycle_analysis(run_epochs(corpus, config), config)
-    assert len(report.cycles) == 4  # 2 cycles per epoch
-    assert [c.epoch for c in report.cycles] == [0, 0, 1, 1]
+    # 6 pairs, m=2, k=2: per epoch one sorted block of 4 pairs (2 batches),
+    # then the short tail block of 2 pairs (1 batch).
+    corpus = make_corpus([1, 2, 3, 4, 5, 6])
+    config = BatchPlanConfig(m=2, k=2, policy=PARTIAL_SORT, seed=3, epochs=2)
+    batches = run_epochs(corpus, config)
+    assert [[p.src_len for p in b.pairs] for b in batches] == [[1, 2], [3, 4], [5, 6], [3, 4], [5, 6], [1, 2]]
+    report = cycle_analysis(batches, config)
+    # Per epoch: [2, 4] [6] | [4, 6] [2], all non-decreasing. Cycles run on
+    # across the epoch boundary would be [2, 4] [6, 4] [6, 2] and score 1/3.
+    assert report.n_cycles == 4
+    assert report.cycle_score == 1.0
 
 
 # ---------------------------------------------------------------------------
