@@ -8,11 +8,12 @@ to m*k, so pairs are left over in the buffer only once the epoch's shuffle is
 used up. The stream of one epoch is therefore the shuffled epoch stable-sorted
 by (src_len, tgt_len) within consecutive blocks of m*k pairs, then cut into
 batches of m; this module computes it that way, with one stable sort per
-epoch. k=1 ("unsorted") sorts within blocks of m, which keeps the batches of
-plain chunking of the shuffled corpus; "full_sort" sorts the whole epoch as
-one block. Ties keep their shuffled order. Nothing carries across epochs:
-each epoch gets a fresh permutation derived from (seed, epoch). A run is
-returned as one BatchStream of integer columns, not as per-pair objects.
+epoch. k is the look-ahead of "partial_sort" only. "unsorted" sorts within
+blocks of m, as k=1 does, which keeps the batches of plain chunking of the
+shuffled corpus; "full_sort" sorts the whole epoch as one block. Ties keep
+their shuffled order. Nothing carries across epochs: each epoch gets a fresh
+permutation derived from (seed, epoch). A run is returned as one BatchStream
+of integer columns, not as per-pair objects.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchPlanConfig:
-    """Batching policy descriptor. full_sort ignores k; unsorted behaves as k=1."""
+    """Batching policy descriptor. k is the look-ahead of partial_sort; the
+    other two policies take only k=1 (unsorted sorts blocks of m, as k=1 does)."""
 
     m: int
     k: int = 1
@@ -66,6 +68,8 @@ class BatchPlanConfig:
             raise ValueError(f"look-ahead k must be >= 1, got {self.k}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
+        if self.k != 1 and self.policy != PARTIAL_SORT:
+            raise ValueError(f"look-ahead k={self.k} needs policy {PARTIAL_SORT!r}, got {self.policy!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
@@ -174,18 +178,13 @@ def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> Corpus:
     """
     shuffled = shuffle(corpus, epoch_shuffle_seed(config.seed, epoch))
     n = len(shuffled)
-    if config.policy == FULL_SORT:
-        block = n
-    elif config.policy == UNSORTED:
-        block = min(config.m, n)
-    else:
-        block = min(config.m * config.k, n)
+    block = n if config.policy == FULL_SORT else min(config.m * config.k, n)
     key, full = _sort_key(shuffled.src, shuffled.tgt), n - n % block
     # One row per whole block, each sorted on its own; the short tail is the last block.
     head = np.argsort(key[:full].reshape(-1, block), axis=1, kind="stable")
     head += np.arange(0, full, block)[:, None]
     order = np.concatenate([head.ravel(), np.argsort(key[full:], kind="stable") + full])
-    return shuffled.take(order, shuffled.max_len_filter, shuffled.shuffle_seed)
+    return shuffled.take(order)
 
 
 def _sort_key(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
@@ -215,7 +214,7 @@ def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> BatchStream:
     orders = [epoch_order(corpus, config, epoch) for epoch in range(config.epochs)]
     src = np.concatenate([order.src[:stop] for order in orders])
     tgt = np.concatenate([order.tgt[:stop] for order in orders])
-    per_epoch = np.arange(0, stop, config.m)
+    per_epoch = np.arange(0, stop, min(config.m, n))  # an m above n gives one batch
     starts = (stop * np.arange(config.epochs)[:, None] + per_epoch).ravel()
     return BatchStream(
         ids=np.concatenate([order.ids[:stop] for order in orders]),

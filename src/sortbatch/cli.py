@@ -114,6 +114,8 @@ class SweepSpec:
             raise ValueError("k_values must be nonempty")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"duplicate seeds: {list(self.seeds)}")
         labels = [_k_text(k) for k in self.k_values]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate k values: {labels}")
@@ -126,9 +128,9 @@ def _k_text(k_value: int | str) -> str:
 def _config_for(spec: SweepSpec, k_value: int | str, seed: int) -> BatchPlanConfig:
     common = dict(m=spec.m, seed=seed, drop_last=spec.drop_last, epochs=spec.epochs)
     if k_value == "all":
-        return BatchPlanConfig(k=1, policy=FULL_SORT, **common)
+        return BatchPlanConfig(policy=FULL_SORT, **common)
     if k_value == 1:
-        return BatchPlanConfig(k=1, policy=UNSORTED, **common)
+        return BatchPlanConfig(policy=UNSORTED, **common)
     return BatchPlanConfig(k=k_value, policy=PARTIAL_SORT, **common)
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "shuffle",
     "compute_stats",
     "synth_generate",
-    "to_lengths_tsv",
     "write_lengths_tsv",
     "corpus_hash",
 ]
@@ -70,32 +69,20 @@ class SentencePair:
 
 
 class Corpus:
-    """Paired lengths as read-only int64 columns, plus a record of how they were made.
+    """Paired lengths as read-only int64 columns: row r is one pair, ids[r], src[r], tgt[r].
 
-    Row r is one pair: ids[r], src[r], tgt[r]. Build one from SentencePair values,
-    Corpus(pairs), or from columns, Corpus(columns=(ids, src, tgt)); either way lengths
-    must be >= 1, ids distinct and no length above max_len_filter. `pairs` is a
-    SentencePair view, built on first use. Int64 array columns are used without a copy,
-    so the caller must not write to them afterwards.
+    Lengths must be >= 1, ids distinct and no length above max_len_filter, the
+    length limit the columns were filtered to (None if unfiltered). `pairs`, a
+    SentencePair view, and `lengths_tsv`, the canonical text, are built on first
+    use. Int64 array columns are used without a copy, so the caller must not
+    write to them afterwards.
     """
 
-    def __init__(
-        self,
-        pairs: Sequence[SentencePair] = (),
-        max_len_filter: int | None = None,
-        shuffle_seed: int | None = None,
-        *,
-        columns: tuple[ArrayLike, ArrayLike, ArrayLike] | None = None,
-    ) -> None:
-        if columns is None:
-            pairs = self.__dict__["pairs"] = tuple(pairs)  # the given values serve as the view
-            columns = ([p.id for p in pairs], [p.src_len for p in pairs], [p.tgt_len for p in pairs])
-        self.ids, self.src, self.tgt = (np.asarray(c, dtype=np.int64).view() for c in columns)
+    def __init__(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike, max_len_filter: int | None = None) -> None:
+        self.ids, self.src, self.tgt = (np.asarray(c, dtype=np.int64).view() for c in (ids, src, tgt))
         for column in (self.ids, self.src, self.tgt):
             column.setflags(write=False)
         self.max_len_filter = max_len_filter
-        self.shuffle_seed = shuffle_seed
-        self._lengths_tsv: str | None = None
 
         n = len(self.ids)
         shapes = {self.ids.shape, self.src.shape, self.tgt.shape}
@@ -112,15 +99,20 @@ class Corpus:
         if limit is not None and ((self.src > limit) | (self.tgt > limit)).any():
             raise ValueError(f"corpus contains pairs longer than max_len_filter={limit}")
 
-    def take(self, rows: ArrayLike, max_len_filter: int | None, shuffle_seed: int | None) -> Corpus:
-        """The given rows, in the given order, with the given record."""
-        columns = (self.ids[rows], self.src[rows], self.tgt[rows])
-        return Corpus(columns=columns, max_len_filter=max_len_filter, shuffle_seed=shuffle_seed)
+    def take(self, rows: ArrayLike) -> Corpus:
+        """The given rows, in the given order, under the same length limit."""
+        return Corpus(self.ids[rows], self.src[rows], self.tgt[rows], self.max_len_filter)
 
     @cached_property
     def pairs(self) -> tuple[SentencePair, ...]:
         rows = zip(self.ids.tolist(), self.src.tolist(), self.tgt.tolist())
         return tuple(SentencePair(*row) for row in rows)
+
+    @cached_property
+    def lengths_tsv(self) -> str:
+        """Canonical interchange serialization: one `src_len\\ttgt_len` line per pair."""
+        interleaved = np.column_stack((self.src, self.tgt)).ravel().tolist()
+        return ("%d\t%d\n" * len(self)) % tuple(interleaved)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -154,7 +146,8 @@ class SynthParams:
     Source lengths are drawn from `length_dist` fitted so that the moments of
     its truncation to [1, max_len] match (mean_src, std_src); target lengths
     couple to the source via a zero-mean perturbation with mean absolute value
-    close to pair_diff_mean.
+    close to pair_diff_mean. Lengths are drawn as floats, so max_len is at most
+    2**53; std_src and pair_diff_mean lie in [0, max_len].
     """
 
     n: int
@@ -168,16 +161,18 @@ class SynthParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+        if not 1 <= self.max_len <= 2**53:
+            raise ValueError(f"max_len must be in [1, 2**53] (lengths are drawn as floats), got {self.max_len}")
         if not 1.0 <= self.mean_src <= self.max_len:
             raise ValueError(
                 f"infeasible params: mean_src={self.mean_src} outside [1, max_len={self.max_len}]"
             )
-        if self.std_src < 0:
-            raise ValueError(f"std_src must be >= 0, got {self.std_src}")
-        if self.pair_diff_mean < 0:
-            raise ValueError(f"pair_diff_mean must be >= 0, got {self.pair_diff_mean}")
+        if not 0 <= self.std_src <= self.max_len:
+            raise ValueError(f"infeasible params: std_src={self.std_src} outside [0, max_len={self.max_len}]")
+        if not 0 <= self.pair_diff_mean <= self.max_len:
+            raise ValueError(
+                f"infeasible params: pair_diff_mean={self.pair_diff_mean} outside [0, max_len={self.max_len}]"
+            )
         if self.length_dist not in LENGTH_DISTS:
             raise ValueError(f"unknown length_dist {self.length_dist!r}, expected one of {LENGTH_DISTS}")
         if self.seed < 0:
@@ -208,7 +203,7 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
         text = handle.read()
     lengths = _plain_lengths(text) if fmt == LENGTHS_TSV else None
     if lengths is not None and lengths.min() >= 1:
-        return Corpus(columns=(np.arange(len(lengths)), lengths[:, 0], lengths[:, 1]))
+        return Corpus(np.arange(len(lengths)), lengths[:, 0], lengths[:, 1])
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -216,7 +211,7 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
         raise CorpusFormatError(f"{path}: empty corpus file")
     rows = [_parse_line(line, fmt, path, lineno) for lineno, line in enumerate(lines, start=1)]
     src, tgt = zip(*rows)
-    return Corpus(columns=(np.arange(len(rows)), src, tgt))
+    return Corpus(np.arange(len(rows)), src, tgt)
 
 
 def _plain_lengths(text: str) -> np.ndarray | None:
@@ -258,24 +253,13 @@ def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple[int
     return src_len, tgt_len
 
 
-def to_lengths_tsv(corpus: Corpus) -> str:
-    """Canonical interchange serialization: one `src_len\\ttgt_len` line per pair.
-
-    Rendered once per corpus value and kept with it.
-    """
-    if corpus._lengths_tsv is None:
-        interleaved = np.column_stack((corpus.src, corpus.tgt)).ravel().tolist()
-        corpus._lengths_tsv = ("%d\t%d\n" * len(corpus)) % tuple(interleaved)
-    return corpus._lengths_tsv
-
-
 def write_lengths_tsv(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(to_lengths_tsv(corpus), encoding="utf-8")
+    Path(path).write_text(corpus.lengths_tsv, encoding="utf-8")
 
 
 def corpus_hash(corpus: Corpus) -> str:
     """Content hash of the canonical lengths-tsv serialization (order-sensitive)."""
-    return hashlib.sha256(to_lengths_tsv(corpus).encode("utf-8")).hexdigest()
+    return hashlib.sha256(corpus.lengths_tsv.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +276,7 @@ def filter_max_len(corpus: Corpus, limit: int) -> Corpus:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     kept = np.flatnonzero((corpus.src <= limit) & (corpus.tgt <= limit))
-    return corpus.take(kept, max_len_filter=limit, shuffle_seed=corpus.shuffle_seed)
+    return Corpus(corpus.ids[kept], corpus.src[kept], corpus.tgt[kept], limit)
 
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:
@@ -300,7 +284,7 @@ def shuffle(corpus: Corpus, seed: int) -> Corpus:
     if not len(corpus):
         raise ValueError("cannot shuffle an empty corpus")
     permutation = np.random.default_rng(seed).permutation(len(corpus))
-    return corpus.take(permutation, max_len_filter=corpus.max_len_filter, shuffle_seed=seed)
+    return corpus.take(permutation)
 
 
 def compute_stats(corpus: Corpus) -> LengthStats:
@@ -398,17 +382,18 @@ def _fit_family(dist: str, mean: float, std: float, lo: float, hi: float) -> tup
 def _sample_src_lengths(params: SynthParams, rng: np.random.Generator) -> np.ndarray:
     from scipy.special import ndtr, ndtri
 
+    value = min(max(int(round(params.mean_src)), 1), params.max_len)
     if params.std_src == 0:
-        value = min(max(int(round(params.mean_src)), 1), params.max_len)
         return np.full(params.n, value, dtype=np.int64)
     lo, hi = 1.0, float(params.max_len)
     loc, scale = _fit_family(params.length_dist, params.mean_src, params.std_src, lo, hi)
+    if not 0 < scale < math.inf:  # a spread too small or too large for floats
+        return np.full(params.n, value, dtype=np.int64)
     if params.length_dist == LOGNORMAL:
         cdf_lo, cdf_hi = ndtr((math.log(lo) - loc) / scale), ndtr((math.log(hi) - loc) / scale)
     else:
         cdf_lo, cdf_hi = ndtr((lo - loc) / scale), ndtr((hi - loc) / scale)
     if cdf_hi - cdf_lo < 1e-12:
-        value = min(max(int(round(params.mean_src)), 1), params.max_len)
         return np.full(params.n, value, dtype=np.int64)
     u = cdf_lo + rng.random(params.n) * (cdf_hi - cdf_lo)
     x = ndtri(u) * scale + loc
@@ -431,4 +416,4 @@ def synth_generate(params: SynthParams) -> Corpus:
     else:
         eps = rng.normal(0.0, params.pair_diff_mean * math.sqrt(math.pi / 2.0), params.n)
         tgt = np.clip(src + np.rint(eps).astype(np.int64), 1, params.max_len)
-    return Corpus(columns=(np.arange(params.n), src, tgt))
+    return Corpus(np.arange(params.n), src, tgt)

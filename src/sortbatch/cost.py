@@ -209,16 +209,11 @@ class CostComparison:
 
 def k_label(config: BatchPlanConfig) -> str:
     """Row label for the look-ahead column: 'all' marks the full sort."""
-    if config.policy == FULL_SORT:
-        return "all"
-    if config.policy == UNSORTED:
-        return "1"
-    return str(config.k)
+    return "all" if config.policy == FULL_SORT else str(config.k)
 
 
 def _group_key(report: RunReport) -> tuple[int, int]:
-    k = 1 if report.config.policy in (UNSORTED, FULL_SORT) else report.config.k
-    return (_POLICY_RANK[report.config.policy], k)
+    return (_POLICY_RANK[report.config.policy], report.config.k)
 
 
 def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
@@ -346,7 +341,7 @@ def read_report_json(path: str | Path) -> RunReport:
     with open(path, encoding="utf-8") as handle:
         try:
             return report_from_dict(json.load(handle))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise ValueError(f"{path}: {exc}") from None
 
 

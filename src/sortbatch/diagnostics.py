@@ -186,35 +186,28 @@ def cycle_analysis(batches: Sequence[Batch], config: BatchPlanConfig) -> CycleRe
 
 
 def default_max_lag(config: BatchPlanConfig, series_length: int) -> int:
-    """Twice the look-ahead, clamped to what the series length supports."""
-    k = config.k if config.policy == PARTIAL_SORT else 1
-    return max(1, min(2 * k, series_length - 3))
+    """Twice the look-ahead, clamped so that every lag keeps at least half
+    the series (and three point pairs) to correlate."""
+    return max(1, min(2 * config.k, series_length // 2, series_length - 3))
 
 
-def iid_report(
-    batches: Sequence[Batch],
-    config: BatchPlanConfig,
-    metric_tag: str = "padded_src",
-    max_lag: int | None = None,
-) -> IIDReport:
-    """Autocorrelation plus cycle structure of one run's batch series.
-
-    With the default max_lag, a series too short for even lag 1 (fewer than
-    four batches) reports an empty, degenerate autocorrelation instead of
-    failing; an explicit max_lag keeps the strict length requirement.
-    """
+def iid_report(batches: Sequence[Batch], config: BatchPlanConfig, metric_tag: str = "padded_src") -> IIDReport:
+    """Autocorrelation at lags 1..default_max_lag plus cycle structure of one
+    run's batch series. A series too short for even lag 1 (fewer than four
+    batches) reports an empty, degenerate autocorrelation instead of failing."""
     batches = BatchStream.of(batches)
     series = extract_series(batches, metric_tag, config)
-    if max_lag is None:
-        max_lag = default_max_lag(config, len(series.values))
-        if len(series.values) <= max_lag + 2:
-            max_lag = 0
+    max_lag = default_max_lag(config, len(series.values))
+    if len(series.values) > max_lag + 2:
+        autocorr = autocorrelation(series, max_lag)
+    else:
+        autocorr = AutocorrResult(lags={}, degenerate=True)
     return IIDReport(
         metric_tag=metric_tag,
         config=config,
         series_mean=float(np.mean(series.values)),
         series_std=float(np.std(series.values)),
-        autocorr=autocorrelation(series, max_lag) if max_lag else AutocorrResult(lags={}, degenerate=True),
+        autocorr=autocorr,
         cycle=cycle_analysis(batches, config) if config.policy == PARTIAL_SORT else None,
     )
 
@@ -225,14 +218,6 @@ def iid_report(
 
 
 def iid_report_to_dict(report: IIDReport) -> dict:
-    cycle = None
-    if report.cycle is not None:
-        cycle = {
-            "k": report.cycle.k,
-            "cycle_score": report.cycle.cycle_score,
-            "n_cycles": report.cycle.n_cycles,
-            "uninformative": report.cycle.uninformative,
-        }
     return {
         "metric_tag": report.metric_tag,
         "config": asdict(report.config),
@@ -240,7 +225,7 @@ def iid_report_to_dict(report: IIDReport) -> dict:
         "series_std": report.series_std,
         "degenerate": report.autocorr.degenerate,
         "lag_autocorrs": {str(lag): r for lag, r in sorted(report.autocorr.lags.items())},
-        "cycle": cycle,
+        "cycle": None if report.cycle is None else asdict(report.cycle),
     }
 
 

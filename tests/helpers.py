@@ -5,16 +5,19 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from sortbatch.batcher import PARTIAL_SORT, POLICIES, BatchPlanConfig
-from sortbatch.corpus import Corpus, SentencePair
+from sortbatch.corpus import Corpus
 
 
 def make_corpus(lengths, max_len_filter=None) -> Corpus:
-    """Corpus from a list of ints (src=tgt) or (src, tgt) tuples."""
-    pairs = []
-    for i, entry in enumerate(lengths):
-        src, tgt = (entry, entry) if isinstance(entry, int) else entry
-        pairs.append(SentencePair(id=i, src_len=src, tgt_len=tgt))
-    return Corpus(tuple(pairs), max_len_filter=max_len_filter)
+    """Corpus from a list of ints (src=tgt) or (src, tgt) tuples; ids 0..n-1."""
+    rows = [(entry, entry) if isinstance(entry, int) else entry for entry in lengths]
+    src, tgt = [r[0] for r in rows], [r[1] for r in rows]
+    return Corpus(range(len(rows)), src, tgt, max_len_filter)
+
+
+def look_ahead(draw, policy, ks):
+    """k for a drawn policy: drawn from ks under partial_sort, else 1."""
+    return draw(ks) if policy == PARTIAL_SORT else 1
 
 
 length_pairs = st.tuples(st.integers(1, 30), st.integers(1, 30))
@@ -30,10 +33,11 @@ def corpus_and_config(draw, max_n=40, max_m=8, max_k=6, policies=POLICIES):
     """A corpus together with a loader config valid for it."""
     corpus = draw(st.builds(make_corpus, st.lists(length_pairs, min_size=1, max_size=max_n)))
     m = draw(st.integers(1, max_m))
+    policy = draw(st.sampled_from(policies))
     config = BatchPlanConfig(
         m=m,
-        k=draw(st.integers(1, max_k)),
-        policy=draw(st.sampled_from(policies)),
+        k=look_ahead(draw, policy, st.integers(1, max_k)),
+        policy=policy,
         seed=draw(st.integers(0, 2**31)),
         drop_last=draw(st.booleans()) and m <= len(corpus.pairs),
         epochs=draw(st.integers(1, 3)),

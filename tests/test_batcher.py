@@ -18,9 +18,9 @@ from sortbatch.batcher import (
     run_epochs,
     write_batches_jsonl,
 )
-from sortbatch.corpus import Corpus, SentencePair, filter_max_len, shuffle
+from sortbatch.corpus import Corpus, filter_max_len, shuffle
 
-from .helpers import corpora, corpus_and_config, make_corpus
+from .helpers import corpora, corpus_and_config, look_ahead, make_corpus
 from .reference_loader import reference_batches
 
 
@@ -44,9 +44,16 @@ def test_config_validation():
         BatchPlanConfig(m=1, epochs=0)
 
 
+@pytest.mark.parametrize("policy", [UNSORTED, FULL_SORT])
+def test_config_rejects_look_ahead_outside_partial_sort(policy):
+    with pytest.raises(ValueError, match="look-ahead k=7 needs policy 'partial_sort'"):
+        BatchPlanConfig(m=2, k=7, policy=policy)
+    assert BatchPlanConfig(m=2, k=1, policy=policy).k == 1
+
+
 def test_new_loader_rejects_empty_corpus():
     with pytest.raises(ValueError, match="empty corpus"):
-        run_epochs(Corpus(()), BatchPlanConfig(m=2))
+        run_epochs(Corpus((), (), ()), BatchPlanConfig(m=2))
 
 
 def test_new_loader_rejects_drop_last_larger_than_corpus():
@@ -66,13 +73,7 @@ def test_refill_sorts_buffer():
 
 
 def test_refill_sort_is_stable_on_ties():
-    corpus = Corpus(
-        (
-            SentencePair(id=0, src_len=3, tgt_len=1),
-            SentencePair(id=1, src_len=3, tgt_len=1),
-            SentencePair(id=2, src_len=1, tgt_len=1),
-        )
-    )
+    corpus = Corpus([0, 1, 2], [3, 3, 1], [1, 1, 1])
     config = BatchPlanConfig(m=3, k=1, seed=5)  # this seed shuffles id 1 ahead of id 0
     shuffled = [p.id for p in shuffle(corpus, epoch_shuffle_seed(5, 0)).pairs]
     assert [p.id for p in epoch_order(corpus, config, 0)] == [2] + [i for i in shuffled if i != 2]
@@ -100,6 +101,11 @@ def test_k1_single_batch_is_plain_chunk():
     (batch,) = run_epochs(make_corpus([(4, 4), (1, 1), (2, 2)]), config)
     assert {p.src_len for p in batch.pairs} == {4, 1, 2}
     assert batch.padded_src == 4
+
+
+def test_batch_size_beyond_int64_gives_one_batch():
+    (batch,) = run_epochs(make_corpus([3, 1, 2]), BatchPlanConfig(m=10**20, policy=UNSORTED))
+    assert sorted(p.src_len for p in batch.pairs) == [1, 2, 3]
 
 
 def test_short_final_batch_emitted_by_default():
@@ -160,10 +166,9 @@ def test_large_k_equals_full_sort():
 
 def test_unsorted_equals_k1_partial_sort():
     corpus = make_corpus([(i % 10 + 1, i % 4 + 1) for i in range(17)])
-    a = run_epochs(corpus, BatchPlanConfig(m=4, k=1, policy=PARTIAL_SORT, seed=2))
-    b = run_epochs(corpus, BatchPlanConfig(m=4, k=9, policy=UNSORTED, seed=2))
-    assert [b_.padded_src for b_ in a] == [b_.padded_src for b_ in b]
-    assert [{p.id for p in x.pairs} for x in a] == [{p.id for p in x.pairs} for x in b]
+    a = run_epochs(corpus, BatchPlanConfig(m=4, k=1, policy=PARTIAL_SORT, seed=2, epochs=2))
+    b = run_epochs(corpus, BatchPlanConfig(m=4, policy=UNSORTED, seed=2, epochs=2))
+    assert stream_signature(a) == stream_signature(b)
 
 
 def test_epoch_shuffle_seed_distinct_and_stable():
@@ -177,8 +182,8 @@ def test_epoch_order_matches_shuffle_permutation():
     partial sort, m for unsorted, the whole epoch for a full sort."""
     corpus = make_corpus([(i % 5 + 1, i % 3 + 1) for i in range(14)])
     shuffled = shuffle(corpus, epoch_shuffle_seed(4, 1)).pairs
-    for policy, block in ((PARTIAL_SORT, 6), (UNSORTED, 3), (FULL_SORT, 14)):
-        config = BatchPlanConfig(m=3, k=2, policy=policy, seed=4)
+    for policy, k, block in ((PARTIAL_SORT, 2, 6), (UNSORTED, 1, 3), (FULL_SORT, 1, 14)):
+        config = BatchPlanConfig(m=3, k=k, policy=policy, seed=4)
         expected = [
             pair
             for start in range(0, 14, block)
@@ -201,9 +206,9 @@ INT64_MAX = 2**63 - 1
 def test_epoch_order_is_lexsort_block_sort_at_any_length(lengths):
     rng = np.random.default_rng(len(lengths))
     pairs = rng.choice(lengths, size=(60, 2)).tolist()  # many ties on each side
-    corpus = Corpus(columns=(np.arange(60), *np.array(pairs, dtype=np.int64).T))
-    for policy, block in ((PARTIAL_SORT, 12), (UNSORTED, 3), (FULL_SORT, 60)):
-        config = BatchPlanConfig(m=3, k=4, policy=policy, seed=9)
+    corpus = Corpus(np.arange(60), *np.array(pairs, dtype=np.int64).T)
+    for policy, k, block in ((PARTIAL_SORT, 4, 12), (UNSORTED, 1, 3), (FULL_SORT, 1, 60)):
+        config = BatchPlanConfig(m=3, k=k, policy=policy, seed=9)
         shuffled = shuffle(corpus, epoch_shuffle_seed(9, 0))
         expected = [
             start + np.lexsort((shuffled.tgt[start : start + block], shuffled.src[start : start + block]))
@@ -275,7 +280,7 @@ def test_buffer_never_exceeds_capacity(case):
     """The look-ahead never reaches past one buffer of m*k pairs: the i-th
     pair emitted comes from the same block of the shuffle as position i."""
     corpus, config = case
-    cap = config.m * (config.k if config.policy == PARTIAL_SORT else 1)
+    cap = config.m * config.k
     batches = run_epochs(corpus, config)
     for epoch in range(config.epochs):
         shuffled = shuffle(corpus, epoch_shuffle_seed(config.seed, epoch)).pairs
@@ -305,10 +310,11 @@ def reference_cases(draw):
         corpus = filter_max_len(corpus, draw(st.integers(1, 30)))
         assume(corpus.pairs)
     m = draw(st.integers(1, 8))
+    policy = draw(st.sampled_from(POLICIES))
     config = BatchPlanConfig(
         m=m,
-        k=draw(st.one_of(st.integers(1, 6), st.just(10**30))),
-        policy=draw(st.sampled_from(POLICIES)),
+        k=look_ahead(draw, policy, st.one_of(st.integers(1, 6), st.just(10**30))),
+        policy=policy,
         seed=draw(st.integers(0, 2**31)),
         drop_last=draw(st.booleans()) and m <= len(corpus.pairs),
         epochs=draw(st.integers(1, 2)),
@@ -323,7 +329,7 @@ def test_run_epochs_matches_reference(case):
     expected = reference_batches(
         corpus,
         config.m,
-        1 if config.policy == UNSORTED else config.k,
+        config.k,
         config.seed,
         epochs=config.epochs,
         drop_last=config.drop_last,

@@ -219,6 +219,13 @@ def test_simulate_rejects_bad_k(corpus_file, tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_simulate_duplicate_seeds_is_data_error(corpus_file, tmp_path, capsys):
+    code, _, err = run(simulate_args(corpus_file, tmp_path / "sweep", seeds=("0", "0")), capsys)
+    assert code == EXIT_DATA
+    assert "duplicate seeds" in err
+    assert list(tmp_path.iterdir()) == [corpus_file]
+
+
 def test_simulate_cleans_up_on_failure(corpus_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     argv = [
@@ -405,6 +412,13 @@ def test_report_malformed_report_is_data_error(corpus_file, tmp_path, capsys):
     assert "'m'" in err
 
 
+def test_report_json_nested_too_deep_is_data_error(tmp_path, capsys):
+    (tmp_path / "report.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, _, err = run(["report", str(tmp_path)], capsys)
+    assert code == EXIT_DATA
+    assert "recursion" in err
+
+
 def test_report_json_keys_are_runreport_fields(corpus_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)
@@ -446,6 +460,20 @@ def test_report_value_of_wrong_type_is_data_error(corpus_file, tmp_path, capsys,
     code, _, err = run(["report", str(out)], capsys)
     assert code == EXIT_DATA
     assert repr(key) in err and str(path) in err
+
+
+@pytest.mark.parametrize("label", ["1", "all"])
+def test_report_look_ahead_outside_partial_sort_is_data_error(corpus_file, tmp_path, capsys, label):
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "3", "all"), seeds=("0",)), capsys)
+    path = out / f"run_k{label}_seed0" / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report["config"]["k"] = 7
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, stdout, err = run(["report", str(out)], capsys)
+    assert code == EXIT_DATA
+    assert stdout == ""
+    assert "look-ahead k=7" in err and str(path) in err
 
 
 def test_report_same_run_twice_is_data_error(corpus_file, tmp_path, capsys):

@@ -23,7 +23,6 @@ from sortbatch.corpus import (
     load_corpus,
     shuffle,
     synth_generate,
-    to_lengths_tsv,
     write_lengths_tsv,
 )
 
@@ -43,15 +42,13 @@ def test_pair_rejects_nonpositive_lengths():
 
 
 def test_corpus_rejects_duplicate_ids():
-    pair = SentencePair(id=0, src_len=1, tgt_len=1)
-    with pytest.raises(ValueError):
-        Corpus((pair, pair))
+    with pytest.raises(ValueError, match="distinct"):
+        Corpus([0, 0], [1, 1], [1, 1])
 
 
 def test_corpus_rejects_filter_violations():
-    pair = SentencePair(id=0, src_len=10, tgt_len=1)
-    with pytest.raises(ValueError):
-        Corpus((pair,), max_len_filter=5)
+    with pytest.raises(ValueError, match="max_len_filter=5"):
+        Corpus([0], [10], [1], max_len_filter=5)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,7 @@ def test_shuffle_deterministic():
     a = shuffle(corpus, 7)
     b = shuffle(corpus, 7)
     assert [p.id for p in a.pairs] == [p.id for p in b.pairs]
-    assert a.shuffle_seed == 7
+    assert shuffle(filter_max_len(corpus, 15), 7).max_len_filter == 15
 
 
 def test_shuffle_seeds_give_same_multiset():
@@ -268,7 +265,7 @@ def test_stats_pairwise_diff():
 
 def test_stats_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        compute_stats(Corpus(()))
+        compute_stats(Corpus((), (), ()))
 
 
 @given(corpora)
@@ -306,6 +303,27 @@ def test_synth_params_validation():
         SynthParams(n=1, mean_src=5, std_src=1, max_len=10, pair_diff_mean=-0.1)
     with pytest.raises(ValueError):
         SynthParams(n=1, mean_src=5, std_src=1, max_len=10, length_dist="cauchy")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("std_src", math.nan),
+        ("std_src", math.inf),
+        ("std_src", 11.0),
+        ("pair_diff_mean", math.nan),
+        ("pair_diff_mean", 1e308),
+        ("max_len", 2**53 + 1),
+    ],
+)
+def test_synth_params_reject_values_outside_their_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthParams(**{**dict(n=5, mean_src=5.0, std_src=1.0, max_len=10), field: value})
+
+
+def test_synth_spread_below_float_resolution_gives_constant_lengths():
+    corpus = synth_generate(SynthParams(n=50, mean_src=3.0, std_src=1e-300, max_len=10))
+    assert set(corpus.src.tolist()) == {3}
 
 
 def test_synth_degenerate_constant():
@@ -363,7 +381,7 @@ def test_synth_zero_pair_diff_copies_source():
 
 def test_lengths_tsv_text_shape():
     corpus = make_corpus([(3, 4), (1, 1)])
-    assert to_lengths_tsv(corpus) == "3\t4\n1\t1\n"
+    assert corpus.lengths_tsv == "3\t4\n1\t1\n"
 
 
 def test_default_family_is_lognormal():

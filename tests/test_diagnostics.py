@@ -172,12 +172,19 @@ def test_autocorr_equals_per_lag_corrcoef(case):
     assert_matches_corrcoef(values, max_lag, tol=1e-9)
 
 
-@pytest.mark.parametrize("seed", [0, 1])  # seed 1 has constant tail slices at its last lags
-def test_autocorr_equals_per_lag_corrcoef_on_a_partial_sort_stream(seed):
-    corpus = synth_generate(SynthParams(n=40_000, mean_src=10.68, std_src=3.17, max_len=50, pair_diff_mean=0.006))
+@pytest.fixture(scope="module")
+def short_corpus():
+    """The 40k-pair short corpus of the benchmark's short_ladder workload."""
+    return synth_generate(SynthParams(n=40_000, mean_src=10.68, std_src=3.17, max_len=50, pair_diff_mean=0.006))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_autocorr_equals_per_lag_corrcoef_on_a_partial_sort_stream(short_corpus, seed):
     config = BatchPlanConfig(m=64, k=500, policy=PARTIAL_SORT, seed=seed)
-    values = extract_series(run_epochs(corpus, config), "padded_src").values
-    assert_matches_corrcoef(values, default_max_lag(config, len(values)), tol=1e-12)
+    values = extract_series(run_epochs(short_corpus, config), "padded_src").values
+    # Lags up to n - 3, a wider window than default_max_lag: on seed 1 the
+    # slices of the last lags (three point pairs) are constant.
+    assert_matches_corrcoef(values, min(2 * config.k, len(values) - 3), tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +252,21 @@ def test_cycles_segment_per_epoch():
 
 
 def test_default_max_lag_clamps():
-    assert default_max_lag(BatchPlanConfig(m=2, k=10, policy=PARTIAL_SORT), 9) == 6
     assert default_max_lag(BatchPlanConfig(m=2, k=10, policy=PARTIAL_SORT), 1000) == 20
-    assert default_max_lag(BatchPlanConfig(m=2, k=1, policy=UNSORTED), 1000) == 2
+    assert default_max_lag(BatchPlanConfig(m=2, k=10, policy=PARTIAL_SORT), 9) == 4  # half the series
+    assert default_max_lag(BatchPlanConfig(m=64, k=500, policy=PARTIAL_SORT), 625) == 312
+    assert default_max_lag(BatchPlanConfig(m=2, policy=UNSORTED), 1000) == 2
+    assert default_max_lag(BatchPlanConfig(m=2, policy=FULL_SORT), 1000) == 2
+    assert [default_max_lag(BatchPlanConfig(m=2, k=10), n) for n in (1, 4, 5, 6)] == [1, 1, 2, 3]
+
+
+def test_partial_sort_stream_with_sorted_tail_is_not_degenerate(short_corpus):
+    """Seed 1 at k=500 ends epochs on long runs of equal padded_src; a window
+    that keeps half the series in every lag never sees a constant slice."""
+    config = BatchPlanConfig(m=64, k=500, policy=PARTIAL_SORT, seed=1)
+    report = iid_report(run_epochs(short_corpus, config), config)
+    assert not report.autocorr.degenerate
+    assert sorted(report.autocorr.lags) == list(range(1, 313))
 
 
 def test_iid_report_structure():
@@ -294,7 +313,12 @@ def test_iid_report_json_shape(tmp_path):
     report = iid_report(run_epochs(corpus, config), config)
     d = iid_report_to_dict(report)
     assert d["metric_tag"] == "padded_src"
-    assert d["cycle"]["cycle_score"] == report.cycle.cycle_score
+    assert d["cycle"] == {
+        "k": 2,
+        "cycle_score": report.cycle.cycle_score,
+        "n_cycles": report.cycle.n_cycles,
+        "uninformative": False,
+    }
     assert all(isinstance(k, str) for k in d["lag_autocorrs"])
     path = tmp_path / "iid.json"
     write_iid_report_json(report, path)
