@@ -21,11 +21,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, SentencePair, shuffle
+from .corpus import Corpus, SentencePair, id_text_table, shuffle
 
 PARTIAL_SORT = "partial_sort"
 UNSORTED = "unsorted"
@@ -94,8 +94,10 @@ class BatchStream(Sequence[Batch]):
     The pairs of all batches lie end to end in ids/src/tgt; batch b holds the
     rows from starts[b] up to the next start (the last batch, up to the end).
     Per batch: padded_src/padded_tgt are the member maxima, epoch and
-    iteration its position. Indexing and iteration build Batch views whose
-    pairs are SentencePair values made on access.
+    iteration its position. corpus is the corpus the pairs were cut from
+    (run_epochs sets it), whose cached id text write_batches_jsonl reuses.
+    Indexing and iteration build Batch views whose pairs are SentencePair
+    values made on access.
     """
 
     ids: np.ndarray
@@ -106,6 +108,7 @@ class BatchStream(Sequence[Batch]):
     padded_tgt: np.ndarray
     epoch: np.ndarray
     iteration: np.ndarray
+    corpus: Corpus | None = None
 
     @classmethod
     def of(cls, batches: Sequence[Batch]) -> BatchStream:
@@ -212,12 +215,12 @@ def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> BatchStream:
         raise ValueError(f"batch size {config.m} exceeds corpus size {n} with drop_last")
     stop = n - n % config.m if config.drop_last else n
     orders = [epoch_order(corpus, config, epoch) for epoch in range(config.epochs)]
-    src = np.concatenate([order.src[:stop] for order in orders])
-    tgt = np.concatenate([order.tgt[:stop] for order in orders])
+    columns = [(order.ids[:stop], order.src[:stop], order.tgt[:stop]) for order in orders]
+    ids, src, tgt = columns[0] if config.epochs == 1 else map(np.concatenate, zip(*columns))
     per_epoch = np.arange(0, stop, min(config.m, n))  # an m above n gives one batch
     starts = (stop * np.arange(config.epochs)[:, None] + per_epoch).ravel()
     return BatchStream(
-        ids=np.concatenate([order.ids[:stop] for order in orders]),
+        ids=ids,
         src=src,
         tgt=tgt,
         starts=starts,
@@ -225,6 +228,7 @@ def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> BatchStream:
         padded_tgt=np.maximum.reduceat(tgt, starts),
         epoch=np.repeat(np.arange(config.epochs), len(per_epoch)),
         iteration=np.tile(np.arange(len(per_epoch)), config.epochs),
+        corpus=corpus,
     )
 
 
@@ -233,29 +237,58 @@ def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> BatchStream:
 # ---------------------------------------------------------------------------
 
 
-def _records(stream: BatchStream) -> Iterator[dict]:
-    ids = stream.ids.tolist()
-    bounds = [*stream.starts.tolist(), len(ids)]
-    columns = (stream.epoch, stream.iteration, stream.padded_src, stream.padded_tgt)
-    for b, (epoch, iteration, padded_src, padded_tgt) in enumerate(zip(*(c.tolist() for c in columns))):
-        yield {
-            "epoch": epoch,
-            "iteration": iteration,
-            "ids": ids[bounds[b] : bounds[b + 1]],
-            "padded_src": padded_src,
-            "padded_tgt": padded_tgt,
-        }
+#: One batches.jsonl line; the bytes json.dumps(batch_record(batch)) + "\n" gives.
+_LINE = b'{"epoch": %d, "iteration": %d, "ids": [%b], "padded_src": %d, "padded_tgt": %d}\n'
+
+#: Pairs rendered per write (whole batches, at least one), which bounds the
+#: gathered id text to about 1.5 MB.
+_CHUNK_PAIRS = 1 << 16
 
 
 def batch_record(batch: Batch) -> dict:
     """Wire-format record for one batch."""
-    return next(_records(BatchStream.of([batch])))
+    return {
+        "epoch": int(batch.epoch_index),
+        "iteration": int(batch.iteration_index),
+        "ids": [int(pair.id) for pair in batch.pairs],
+        "padded_src": int(batch.padded_src),
+        "padded_tgt": int(batch.padded_tgt),
+    }
 
 
 def write_batches_jsonl(batches: Sequence[Batch], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in _records(BatchStream.of(batches)):
-            handle.write(json.dumps(record) + "\n")
+    """One line per batch, byte for byte json.dumps(batch_record(batch)) + "\n".
+
+    Ids are rendered by gathering rows of an id-text table (Corpus.id_text):
+    the cached table of the stream's corpus when its ids are contiguous, so
+    each id is converted to text once per corpus, not once per run; else a
+    table of the stream's distinct ids, built here.
+    """
+    stream = BatchStream.of(batches)
+    table = None if stream.corpus is None else stream.corpus.id_text
+    if table is not None:
+        keys, first = stream.ids, int(stream.corpus.ids.min())
+    else:
+        distinct, keys = np.unique(stream.ids, return_inverse=True)
+        table, first = id_text_table(distinct), 0
+    text, lengths = table
+    starts, sizes = stream.starts, stream.sizes
+    ends = starts + sizes
+    records = list(zip(*(c.tolist() for c in (stream.epoch, stream.iteration, stream.padded_src, stream.padded_tgt))))
+    step = max(1, _CHUNK_PAIRS // int(sizes.max(initial=1)))
+    with open(path, "wb") as handle:
+        for b in range(0, len(stream), step):
+            e = min(b + step, len(stream))
+            lo, hi = starts[b], ends[e - 1]
+            rows = keys[lo:hi] - first
+            ids_text = text[rows].tobytes().translate(None, b"\0")
+            offsets = np.concatenate(([0], np.cumsum(lengths[rows], dtype=np.int64)))
+            # Each batch's span of ids_text, less the ", " after its last id.
+            spans = zip(offsets[starts[b:e] - lo].tolist(), (offsets[ends[b:e] - lo] - 2).tolist())
+            handle.write(b"".join(
+                _LINE % (epoch, iteration, ids_text[s:t], src, tgt)
+                for (epoch, iteration, src, tgt), (s, t) in zip(records[b:e], spans)
+            ))
 
 
 def read_batches_jsonl(path: str | Path) -> list[dict]:

@@ -39,6 +39,7 @@ from .corpus import (
     LENGTH_DISTS,
     LENGTHS_TSV,
     LOGNORMAL,
+    Corpus,
     LengthStats,
     SynthParams,
     compute_stats,
@@ -190,19 +191,11 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
             json.dump(_sweep_record(spec, digest), handle, indent=2, sort_keys=True)
             handle.write("\n")
 
-        reports: list[RunReport] = []
-        for k_value in spec.k_values:
-            for seed in spec.seeds:
-                config = _config_for(spec, k_value, seed)
-                run_dir = stage / f"run_k{_k_text(k_value)}_seed{seed}"
-                run_dir.mkdir()
-                batches = run_epochs(corpus, config)
-                report = summarize_run(batches, config, corpus_hash=digest)
-                reports.append(report)
-                write_report_json(report, run_dir / "report.json")
-                write_batches_jsonl(batches, run_dir / "batches.jsonl")
-                write_iid_report_json(iid_report(batches, config), run_dir / "iid.json")
-
+        reports = [
+            _run_cell(corpus, _config_for(spec, k_value, seed), digest, stage / f"run_k{_k_text(k_value)}_seed{seed}")
+            for k_value in spec.k_values
+            for seed in spec.seeds
+        ]
         comparison = compare_costs(reports)
         for name, render in (("comparison.csv", comparison_to_csv), ("comparison.md", comparison_to_markdown)):
             with open(stage / name, "w", encoding="utf-8") as handle:
@@ -211,6 +204,18 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
         return comparison, reports
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+
+
+def _run_cell(corpus: Corpus, config: BatchPlanConfig, digest: str, run_dir: Path) -> RunReport:
+    """Batch one (k, seed) cell and write its three files into run_dir. The
+    stream is freed on return, before the next cell allocates its own."""
+    run_dir.mkdir()
+    batches = run_epochs(corpus, config)
+    report = summarize_run(batches, config, corpus_hash=digest)
+    write_report_json(report, run_dir / "report.json")
+    write_batches_jsonl(batches, run_dir / "batches.jsonl")
+    write_iid_report_json(iid_report(batches, config), run_dir / "iid.json")
+    return report
 
 
 def _publish(stage: Path, out: Path) -> None:

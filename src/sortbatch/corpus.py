@@ -79,11 +79,7 @@ class Corpus:
     """
 
     def __init__(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike, max_len_filter: int | None = None) -> None:
-        self.ids, self.src, self.tgt = (np.asarray(c, dtype=np.int64).view() for c in (ids, src, tgt))
-        for column in (self.ids, self.src, self.tgt):
-            column.setflags(write=False)
-        self.max_len_filter = max_len_filter
-
+        self._set_columns(ids, src, tgt, max_len_filter)
         n = len(self.ids)
         shapes = {self.ids.shape, self.src.shape, self.tgt.shape}
         if shapes != {(n,)}:
@@ -99,9 +95,25 @@ class Corpus:
         if limit is not None and ((self.src > limit) | (self.tgt > limit)).any():
             raise ValueError(f"corpus contains pairs longer than max_len_filter={limit}")
 
+    def _set_columns(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike, max_len_filter: int | None) -> None:
+        self.ids, self.src, self.tgt = (np.asarray(c, dtype=np.int64).view() for c in (ids, src, tgt))
+        for column in (self.ids, self.src, self.tgt):
+            column.setflags(write=False)
+        self.max_len_filter = max_len_filter
+
     def take(self, rows: ArrayLike) -> Corpus:
-        """The given rows, in the given order, under the same length limit."""
-        return Corpus(self.ids[rows], self.src[rows], self.tgt[rows], self.max_len_filter)
+        """The given rows, in the given order, under the same length limit.
+
+        Distinct rows of a valid corpus make a valid corpus, so only the rows
+        are checked, in O(n), and the constructor's checks are skipped.
+        """
+        seen = np.zeros(len(self), dtype=bool)
+        seen[rows] = True
+        if np.count_nonzero(seen) != len(rows):
+            raise ValueError("corpus pair ids must be distinct")
+        subset = Corpus.__new__(Corpus)
+        subset._set_columns(self.ids[rows], self.src[rows], self.tgt[rows], self.max_len_filter)
+        return subset
 
     @cached_property
     def pairs(self) -> tuple[SentencePair, ...]:
@@ -113,6 +125,18 @@ class Corpus:
         """Canonical interchange serialization: one `src_len\\ttgt_len` line per pair."""
         interleaved = np.column_stack((self.src, self.tgt)).ravel().tolist()
         return ("%d\t%d\n" * len(self)) % tuple(interleaved)
+
+    @cached_property
+    def id_text(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """`id_text_table` of the ids min(ids), min(ids) + 1, ..., so that id i
+        is row i - min(ids); None unless the ids are contiguous, as
+        load_corpus and synth_generate make them."""
+        if not len(self) or int(self.ids.max()) - int(self.ids.min()) + 1 != len(self):
+            return None
+        table = id_text_table(int(self.ids.min()) + np.arange(len(self)))
+        for column in table:
+            column.setflags(write=False)
+        return table
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -255,6 +279,36 @@ def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple[int
 
 def write_lengths_tsv(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(corpus.lengths_tsv, encoding="utf-8")
+
+
+def id_text_table(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The JSON-list text `"{id}, "` of each int64 id, NUL-padded to one
+    width (a bytes dtype, so a gather copies whole rows), and the length of
+    each text as uint8.
+
+    A text is the sign (if any id is negative), the decimal digits
+    right-aligned with NUL for leading zeros, then ", "; dropping the NULs
+    leaves the text. The width follows the widest id, so ids below 10**6 take
+    8 bytes, not the 22 of the int64 extremes.
+    """
+    negative = ids < 0
+    magnitude = ids.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # |id|; 2**63 for the int64 minimum
+    top = int(magnitude.max(initial=0))
+    magnitude = magnitude.astype(np.min_scalar_type(top))  # narrower types divide faster
+    sign, digits = int(negative.any()), len(str(top))
+    text = np.zeros((len(ids), sign + digits + 2), dtype=np.uint8)
+    text[negative, 0] = ord("-")
+    text[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
+    lengths = negative.astype(np.uint8) + 2
+    units = sign + digits - 1
+    for column in range(units, sign - 1, -1):
+        shown = (magnitude > 0) | (column == units)
+        quotient = magnitude // 10
+        text[:, column] = np.where(shown, magnitude - quotient * 10 + ord("0"), 0)
+        lengths += shown
+        magnitude = quotient
+    return text.view(f"S{text.shape[1]}").ravel(), lengths
 
 
 def corpus_hash(corpus: Corpus) -> str:

@@ -1,16 +1,22 @@
 """Loader: block-sorted epoch order, batching, policies, epochs, determinism."""
 
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sortbatch import batcher
 from sortbatch.batcher import (
     FULL_SORT,
     PARTIAL_SORT,
     POLICIES,
     UNSORTED,
+    Batch,
     BatchPlanConfig,
+    BatchStream,
     batch_record,
     epoch_order,
     epoch_shuffle_seed,
@@ -18,7 +24,7 @@ from sortbatch.batcher import (
     run_epochs,
     write_batches_jsonl,
 )
-from sortbatch.corpus import Corpus, filter_max_len, shuffle
+from sortbatch.corpus import Corpus, SentencePair, filter_max_len, shuffle
 
 from .helpers import corpora, corpus_and_config, look_ahead, make_corpus
 from .reference_loader import reference_batches
@@ -362,3 +368,43 @@ def test_batches_jsonl_round_trip(tmp_path):
     records = read_batches_jsonl(path)
     assert records == [batch_record(b) for b in batches]
     assert records[0].keys() == {"epoch", "iteration", "ids", "padded_src", "padded_tgt"}
+
+
+INT64 = np.iinfo(np.int64)
+int64_ids = st.integers(INT64.min, INT64.max) | st.sampled_from([INT64.min, INT64.max, -1, 0])
+
+
+@st.composite
+def id_column(draw, n):
+    """n distinct int64 ids: a contiguous run, as load_corpus and synth_generate
+    make, or sparse ones, as filter_max_len leaves."""
+    if draw(st.booleans()):
+        first = draw(st.sampled_from([0, -n, INT64.min, INT64.max - n + 1]) | st.integers(INT64.min, INT64.max - n + 1))
+        return list(range(first, first + n))
+    return draw(st.lists(int64_ids, min_size=n, max_size=n, unique=True))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_batches_jsonl_bytes_equal_json_dumps(tmp_path_factory, data):
+    corpus, config = data.draw(corpus_and_config())
+    corpus = Corpus(data.draw(id_column(len(corpus)), label="ids"), corpus.src, corpus.tgt)
+    stream = run_epochs(corpus, config)
+    batches = stream if data.draw(st.booleans(), label="run_epochs stream") else BatchStream.of(list(stream))
+    path = tmp_path_factory.mktemp("jsonl") / "batches.jsonl"
+    with mock.patch.object(batcher, "_CHUNK_PAIRS", data.draw(st.integers(1, 50), label="chunk")):
+        write_batches_jsonl(batches, path)
+    assert path.read_bytes() == "".join(json.dumps(batch_record(b)) + "\n" for b in stream).encode()
+
+
+def test_batches_jsonl_bytes_of_plain_batches(tmp_path):
+    batches = [
+        Batch(pairs=(SentencePair(-3, 2, 1), SentencePair(10**12, 1, 4)), padded_src=2, padded_tgt=4,
+              iteration_index=0, epoch_index=0),
+        Batch(pairs=(), padded_src=0, padded_tgt=0, iteration_index=1, epoch_index=0),
+    ]
+    path = tmp_path / "batches.jsonl"
+    write_batches_jsonl(batches, path)
+    assert path.read_bytes() == "".join(json.dumps(batch_record(b)) + "\n" for b in batches).encode()
+    write_batches_jsonl([], path)
+    assert path.read_bytes() == b""

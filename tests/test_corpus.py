@@ -46,6 +46,27 @@ def test_corpus_rejects_duplicate_ids():
         Corpus([0, 0], [1, 1], [1, 1])
 
 
+@pytest.mark.parametrize("rows", [[0, 0], [2, 1, 2], [-1, 3], [0, -4]])
+def test_take_rejects_repeated_rows(rows):
+    with pytest.raises(ValueError, match="distinct"):
+        make_corpus([1, 2, 3, 4]).take(rows)
+
+
+def test_take_keeps_order_limit_and_read_only_columns():
+    corpus = filter_max_len(make_corpus([(1, 2), (3, 4), (5, 6)]), 9)
+    taken = corpus.take([2, 0])
+    assert taken.pairs == (SentencePair(2, 5, 6), SentencePair(0, 1, 2))
+    assert taken.max_len_filter == 9
+    assert not any(column.flags.writeable for column in (taken.ids, taken.src, taken.tgt))
+
+
+def test_id_text_rows_run_from_the_smallest_contiguous_id():
+    text, lengths = Corpus([11, 9, 10], [1, 1, 1], [1, 1, 1]).id_text
+    assert [row.replace(b"\0", b"") for row in text.tolist()] == [b"9, ", b"10, ", b"11, "]
+    assert lengths.tolist() == [3, 4, 4]
+    assert Corpus([0, 2], [1, 1], [1, 1]).id_text is None
+
+
 def test_corpus_rejects_filter_violations():
     with pytest.raises(ValueError, match="max_len_filter=5"):
         Corpus([0], [10], [1], max_len_filter=5)
