@@ -95,9 +95,10 @@ class BatchStream(Sequence[Batch]):
     rows from starts[b] up to the next start (the last batch, up to the end).
     Per batch: padded_src/padded_tgt are the member maxima, epoch and
     iteration its position. corpus is the corpus the pairs were cut from
-    (run_epochs sets it), whose cached id text write_batches_jsonl reuses.
-    Indexing and iteration build Batch views whose pairs are SentencePair
-    values made on access.
+    (run_epochs sets it): each id is a row of it, so write_batches_jsonl
+    gathers the text of the ids from its cached corpus.id_text. Indexing and
+    iteration build Batch views whose pairs are SentencePair values made on
+    access.
     """
 
     ids: np.ndarray
@@ -193,11 +194,12 @@ def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> Corpus:
 def _sort_key(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """One integer per pair that orders as (src, tgt) does: src * (max_tgt + 1)
     + tgt, in the narrowest unsigned type that holds it (16 bits or fewer
-    radix-sort). Where that key would pass the int64 maximum, the dense ranks
-    of each column stand in for the lengths; ranks are below n, so they fit."""
+    radix-sort). Where that key would pass the int64 maximum, the ranks of
+    each column (the count of smaller values) stand in for the lengths;
+    ranks are below n, so they fit."""
     top = int(tgt.max()) + 1
     if (int(src.max()) + 1) * top > 2**63:
-        src, tgt = (np.unique(column, return_inverse=True)[1] for column in (src, tgt))
+        src, tgt = (np.searchsorted(np.sort(column), column) for column in (src, tgt))
         top = int(tgt.max()) + 1
     return (src * top + tgt).astype(np.min_scalar_type((int(src.max()) + 1) * top - 1))
 
@@ -259,19 +261,17 @@ def batch_record(batch: Batch) -> dict:
 def write_batches_jsonl(batches: Sequence[Batch], path: str | Path) -> None:
     """One line per batch, byte for byte json.dumps(batch_record(batch)) + "\n".
 
-    Ids are rendered by gathering rows of an id-text table (Corpus.id_text):
-    the cached table of the stream's corpus when its ids are contiguous, so
-    each id is converted to text once per corpus, not once per run; else a
-    table of the stream's distinct ids, built here.
+    Ids are rendered by gathering rows of an id-text table: for a stream
+    from run_epochs, row i of its corpus's cached Corpus.id_text is the text
+    of id i, so each id is converted to text once per corpus, not once per
+    run; a stream of plain batches gets a table of its own ids, row r for
+    stream row r.
     """
     stream = BatchStream.of(batches)
-    table = None if stream.corpus is None else stream.corpus.id_text
-    if table is not None:
-        keys, first = stream.ids, int(stream.corpus.ids.min())
+    if stream.corpus is None:
+        (text, lengths), keys = id_text_table(stream.ids), np.arange(len(stream.ids))
     else:
-        distinct, keys = np.unique(stream.ids, return_inverse=True)
-        table, first = id_text_table(distinct), 0
-    text, lengths = table
+        (text, lengths), keys = stream.corpus.id_text, stream.ids
     starts, sizes = stream.starts, stream.sizes
     ends = starts + sizes
     records = list(zip(*(c.tolist() for c in (stream.epoch, stream.iteration, stream.padded_src, stream.padded_tgt))))
@@ -280,7 +280,7 @@ def write_batches_jsonl(batches: Sequence[Batch], path: str | Path) -> None:
         for b in range(0, len(stream), step):
             e = min(b + step, len(stream))
             lo, hi = starts[b], ends[e - 1]
-            rows = keys[lo:hi] - first
+            rows = keys[lo:hi]
             ids_text = text[rows].tobytes().translate(None, b"\0")
             offsets = np.concatenate(([0], np.cumsum(lengths[rows], dtype=np.int64)))
             # Each batch's span of ids_text, less the ", " after its last id.

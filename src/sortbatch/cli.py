@@ -7,7 +7,9 @@ Subcommands:
   simulate  run a policy sweep and write reports, batch streams, diagnostics
   report    merge previously written run reports into one comparison table
 
-Common flags: --seed (generator seed), --format {csv,md,json}, --out.
+Shared flags, each on the subcommands that read it: --seed (generator
+seed; gen, simulate), --format {csv,md,json} (stats, simulate, report),
+--out (all four).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 I/O error.
 
 k values on the command line: 1 means plain shuffled chunking (the unsorted
@@ -314,15 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sortbatch", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    common.add_argument("--format", choices=FORMATS, default="md", help="output format (default md)")
-    common.add_argument("--out", type=Path, default=None, help="output path")
+    seed, fmt, out = (_Parser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    fmt.add_argument("--format", choices=FORMATS, default="md", help="output format (default md)")
+    out.add_argument("--out", type=Path, default=None, help="output path")
 
-    gen = sub.add_parser("gen", parents=[common], help="write a synthetic lengths-tsv corpus")
+    gen = sub.add_parser("gen", parents=[seed, out], help="write a synthetic lengths-tsv corpus")
     _add_synth_flags(gen, required=True)
 
-    stats = sub.add_parser("stats", parents=[common], help="length statistics of a corpus file")
+    stats = sub.add_parser("stats", parents=[fmt, out], help="length statistics of a corpus file")
     stats.add_argument("corpus", type=Path, help="corpus file to inspect")
     stats.add_argument(
         "--corpus-format", choices=CORPUS_FORMATS, default=LENGTHS_TSV, help="input file format"
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--max-len", type=int, default=None, help="drop pairs longer than this first")
     stats.add_argument("--hist-out", type=Path, default=None, help="also write a length histogram CSV")
 
-    simulate = sub.add_parser("simulate", parents=[common], help="run a policy sweep over k")
+    simulate = sub.add_parser("simulate", parents=[seed, fmt, out], help="run a policy sweep over k")
     simulate.add_argument("--corpus", type=Path, default=None, help="lengths-tsv corpus to batch")
     _add_synth_flags(simulate, required=False)
     simulate.add_argument("--m", type=int, required=True, help="batch size")
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--epochs", type=int, default=1, help="epochs per run (default 1)")
     simulate.add_argument("--drop-last", action="store_true", help="discard short final batches")
 
-    report = sub.add_parser("report", parents=[common], help="merge run reports into one table")
+    report = sub.add_parser("report", parents=[fmt, out], help="merge run reports into one table")
     report.add_argument("runs", nargs="+", type=Path, help="run directories or report.json files")
 
     return parser

@@ -3,6 +3,8 @@
 A corpus is a set of int64 columns (pair ids, source lengths, target lengths)
 with one row per sentence pair; no sentence text is kept. Lengths are
 whitespace-token counts (parallel-tsv) or precomputed integers (lengths-tsv).
+A pair's id is its line in the corpus it was loaded or synthesised from,
+counted from 0, so the ids of n pairs are a permutation of 0..n-1.
 Corpus values are immutable after construction; every operation is a pure
 function returning a new Corpus, so values are safe to share across threads.
 """
@@ -55,13 +57,16 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SentencePair:
-    """One parallel example: a source/target length pair with a stable id."""
+    """One parallel example: a source/target length pair and its id, its line
+    in the corpus (from 0)."""
 
     id: int
     src_len: int
     tgt_len: int
 
     def __post_init__(self) -> None:
+        if self.id < 0:
+            raise ValueError(f"pair id must be >= 0, got {self.id}")
         if self.src_len < 1 or self.tgt_len < 1:
             raise ValueError(
                 f"pair {self.id}: lengths must be >= 1, got ({self.src_len}, {self.tgt_len})"
@@ -71,15 +76,19 @@ class SentencePair:
 class Corpus:
     """Paired lengths as read-only int64 columns: row r is one pair, ids[r], src[r], tgt[r].
 
-    Lengths must be >= 1, ids distinct and no length above max_len_filter, the
+    The ids of n pairs are a permutation of 0..n-1 (id i is line i of the
+    corpus file), lengths are >= 1 and none is above max_len_filter, the
     length limit the columns were filtered to (None if unfiltered). `pairs`, a
-    SentencePair view, and `lengths_tsv`, the canonical text, are built on first
-    use. Int64 array columns are used without a copy, so the caller must not
-    write to them afterwards.
+    SentencePair view, `lengths_tsv`, the canonical text, and `id_text`, the
+    text of each id, are built on first use. Int64 array columns are used
+    without a copy, so the caller must not write to them afterwards.
     """
 
     def __init__(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike, max_len_filter: int | None = None) -> None:
-        self._set_columns(ids, src, tgt, max_len_filter)
+        self.ids, self.src, self.tgt = (np.asarray(c, dtype=np.int64).view() for c in (ids, src, tgt))
+        for column in (self.ids, self.src, self.tgt):
+            column.setflags(write=False)
+        self.max_len_filter = max_len_filter
         n = len(self.ids)
         shapes = {self.ids.shape, self.src.shape, self.tgt.shape}
         if shapes != {(n,)}:
@@ -88,32 +97,19 @@ class Corpus:
         if short.size:
             i, s, t = self.ids[short[0]], self.src[short[0]], self.tgt[short[0]]
             raise ValueError(f"pair {i}: lengths must be >= 1, got ({s}, {t})")
-        ids = np.sort(self.ids)
-        if (ids[1:] == ids[:-1]).any():
-            raise ValueError("corpus pair ids must be distinct")
+        seen = np.zeros(n, dtype=bool)
+        if n and 0 <= self.ids.min() and self.ids.max() < n:  # a negative index would wrap
+            seen[self.ids] = True
+        if not seen.all():
+            raise ValueError(f"corpus pair ids must be distinct and in [0, {n}): the lines of the corpus")
         limit = max_len_filter
         if limit is not None and ((self.src > limit) | (self.tgt > limit)).any():
             raise ValueError(f"corpus contains pairs longer than max_len_filter={limit}")
 
-    def _set_columns(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike, max_len_filter: int | None) -> None:
-        self.ids, self.src, self.tgt = (np.asarray(c, dtype=np.int64).view() for c in (ids, src, tgt))
-        for column in (self.ids, self.src, self.tgt):
-            column.setflags(write=False)
-        self.max_len_filter = max_len_filter
-
     def take(self, rows: ArrayLike) -> Corpus:
-        """The given rows, in the given order, under the same length limit.
-
-        Distinct rows of a valid corpus make a valid corpus, so only the rows
-        are checked, in O(n), and the constructor's checks are skipped.
-        """
-        seen = np.zeros(len(self), dtype=bool)
-        seen[rows] = True
-        if np.count_nonzero(seen) != len(rows):
-            raise ValueError("corpus pair ids must be distinct")
-        subset = Corpus.__new__(Corpus)
-        subset._set_columns(self.ids[rows], self.src[rows], self.tgt[rows], self.max_len_filter)
-        return subset
+        """The pairs in the order of rows, a permutation of range(len(self)),
+        under the same length limit."""
+        return Corpus(self.ids[rows], self.src[rows], self.tgt[rows], self.max_len_filter)
 
     @cached_property
     def pairs(self) -> tuple[SentencePair, ...]:
@@ -127,13 +123,9 @@ class Corpus:
         return ("%d\t%d\n" * len(self)) % tuple(interleaved)
 
     @cached_property
-    def id_text(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """`id_text_table` of the ids min(ids), min(ids) + 1, ..., so that id i
-        is row i - min(ids); None unless the ids are contiguous, as
-        load_corpus and synth_generate make them."""
-        if not len(self) or int(self.ids.max()) - int(self.ids.min()) + 1 != len(self):
-            return None
-        table = id_text_table(int(self.ids.min()) + np.arange(len(self)))
+    def id_text(self) -> tuple[np.ndarray, np.ndarray]:
+        """`id_text_table` of the ids 0..n-1, so that row i is the text of id i."""
+        table = id_text_table(np.arange(len(self)))
         for column in table:
             column.setflags(write=False)
         return table
@@ -282,28 +274,25 @@ def write_lengths_tsv(corpus: Corpus, path: str | Path) -> None:
 
 
 def id_text_table(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The JSON-list text `"{id}, "` of each int64 id, NUL-padded to one
-    width (a bytes dtype, so a gather copies whole rows), and the length of
-    each text as uint8.
+    """The JSON-list text `"{id}, "` of each id, NUL-padded to one width (a
+    bytes dtype, so a gather copies whole rows), and the length of each text
+    as uint8. Raises ValueError on a negative id.
 
-    A text is the sign (if any id is negative), the decimal digits
-    right-aligned with NUL for leading zeros, then ", "; dropping the NULs
-    leaves the text. The width follows the widest id, so ids below 10**6 take
-    8 bytes, not the 22 of the int64 extremes.
+    A text is the decimal digits right-aligned with NUL for leading zeros,
+    then ", "; dropping the NULs leaves the text. The width follows the
+    largest id, so ids below 10**6 take 8 bytes, not the 21 of the int64
+    maximum.
     """
-    negative = ids < 0
-    magnitude = ids.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=negative)  # |id|; 2**63 for the int64 minimum
-    top = int(magnitude.max(initial=0))
-    magnitude = magnitude.astype(np.min_scalar_type(top))  # narrower types divide faster
-    sign, digits = int(negative.any()), len(str(top))
-    text = np.zeros((len(ids), sign + digits + 2), dtype=np.uint8)
-    text[negative, 0] = ord("-")
+    if ids.min(initial=0) < 0:
+        raise ValueError(f"ids must be >= 0, got {ids.min()}")
+    top = int(ids.max(initial=0))
+    magnitude = ids.astype(np.min_scalar_type(top))  # narrower types divide faster
+    digits = len(str(top))
+    text = np.zeros((len(ids), digits + 2), dtype=np.uint8)
     text[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
-    lengths = negative.astype(np.uint8) + 2
-    units = sign + digits - 1
-    for column in range(units, sign - 1, -1):
-        shown = (magnitude > 0) | (column == units)
+    lengths = np.full(len(ids), 2, dtype=np.uint8)
+    for column in range(digits - 1, -1, -1):
+        shown = (magnitude > 0) | (column == digits - 1)
         quotient = magnitude // 10
         text[:, column] = np.where(shown, magnitude - quotient * 10 + ord("0"), 0)
         lengths += shown
@@ -325,12 +314,13 @@ def filter_max_len(corpus: Corpus, limit: int) -> Corpus:
     """Keep only pairs with both sides at most `limit` tokens, order preserved.
 
     The cutoff applies to source and target alike; the limit is recorded on
-    the returned corpus. The result may be empty.
+    the returned corpus. The kept pairs are renumbered 0..n'-1 in order, as
+    the lines of the filtered corpus. The result may be empty.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     kept = np.flatnonzero((corpus.src <= limit) & (corpus.tgt <= limit))
-    return Corpus(corpus.ids[kept], corpus.src[kept], corpus.tgt[kept], limit)
+    return Corpus(np.arange(len(kept)), corpus.src[kept], corpus.tgt[kept], limit)
 
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:

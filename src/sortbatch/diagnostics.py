@@ -78,10 +78,8 @@ class CycleReport:
     """Refill-cycle monotonicity. k=1 cycles are single batches, trivially
     non-decreasing, so the score carries no signal there."""
 
-    k: int
     cycle_score: float
     n_cycles: int
-    uninformative: bool = False
 
 
 @dataclass(frozen=True)
@@ -177,12 +175,7 @@ def cycle_analysis(batches: Sequence[Batch], config: BatchPlanConfig) -> CycleRe
     no_drop = np.diff(padded, prepend=padded[0]) >= 0
     no_drop[starts] = True
     non_decreasing = int(np.count_nonzero(np.logical_and.reduceat(no_drop, starts)))
-    return CycleReport(
-        k=config.k,
-        cycle_score=non_decreasing / len(starts),
-        n_cycles=len(starts),
-        uninformative=config.k == 1,
-    )
+    return CycleReport(cycle_score=non_decreasing / len(starts), n_cycles=len(starts))
 
 
 def default_max_lag(config: BatchPlanConfig, series_length: int) -> int:

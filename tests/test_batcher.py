@@ -16,7 +16,6 @@ from sortbatch.batcher import (
     UNSORTED,
     Batch,
     BatchPlanConfig,
-    BatchStream,
     batch_record,
     epoch_order,
     epoch_shuffle_seed,
@@ -370,36 +369,34 @@ def test_batches_jsonl_round_trip(tmp_path):
     assert records[0].keys() == {"epoch", "iteration", "ids", "padded_src", "padded_tgt"}
 
 
-INT64 = np.iinfo(np.int64)
-int64_ids = st.integers(INT64.min, INT64.max) | st.sampled_from([INT64.min, INT64.max, -1, 0])
-
-
-@st.composite
-def id_column(draw, n):
-    """n distinct int64 ids: a contiguous run, as load_corpus and synth_generate
-    make, or sparse ones, as filter_max_len leaves."""
-    if draw(st.booleans()):
-        first = draw(st.sampled_from([0, -n, INT64.min, INT64.max - n + 1]) | st.integers(INT64.min, INT64.max - n + 1))
-        return list(range(first, first + n))
-    return draw(st.lists(int64_ids, min_size=n, max_size=n, unique=True))
+#: Sparse ids as a plain list of batches may hold them, up to the int64 maximum.
+sparse_ids = st.integers(0, INT64_MAX) | st.sampled_from([0, 1, 9, 10, INT64_MAX])
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_batches_jsonl_bytes_equal_json_dumps(tmp_path_factory, data):
+    """The corpus's id-text table for a run_epochs stream; for plain batches,
+    a table of the stream's own ids, drawn sparse and up to the int64 maximum."""
     corpus, config = data.draw(corpus_and_config())
-    corpus = Corpus(data.draw(id_column(len(corpus)), label="ids"), corpus.src, corpus.tgt)
     stream = run_epochs(corpus, config)
-    batches = stream if data.draw(st.booleans(), label="run_epochs stream") else BatchStream.of(list(stream))
+    batches = stream
+    if data.draw(st.booleans(), label="plain batches"):
+        ids = data.draw(st.lists(sparse_ids, min_size=len(corpus), max_size=len(corpus), unique=True), label="ids")
+        batches = [
+            Batch(tuple(SentencePair(ids[p.id], p.src_len, p.tgt_len) for p in b.pairs), b.padded_src, b.padded_tgt,
+                  b.iteration_index, b.epoch_index)
+            for b in stream
+        ]
     path = tmp_path_factory.mktemp("jsonl") / "batches.jsonl"
     with mock.patch.object(batcher, "_CHUNK_PAIRS", data.draw(st.integers(1, 50), label="chunk")):
         write_batches_jsonl(batches, path)
-    assert path.read_bytes() == "".join(json.dumps(batch_record(b)) + "\n" for b in stream).encode()
+    assert path.read_bytes() == "".join(json.dumps(batch_record(b)) + "\n" for b in batches).encode()
 
 
 def test_batches_jsonl_bytes_of_plain_batches(tmp_path):
     batches = [
-        Batch(pairs=(SentencePair(-3, 2, 1), SentencePair(10**12, 1, 4)), padded_src=2, padded_tgt=4,
+        Batch(pairs=(SentencePair(3, 2, 1), SentencePair(10**12, 1, 4)), padded_src=2, padded_tgt=4,
               iteration_index=0, epoch_index=0),
         Batch(pairs=(), padded_src=0, padded_tgt=0, iteration_index=1, epoch_index=0),
     ]

@@ -530,3 +530,18 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", *GEN_FLAGS, "--format", "csv"], "--format"),
+        (["stats", "c.tsv", "--seed", "1"], "--seed"),
+        (["report", "runs", "--seed", "1"], "--seed"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    code, stdout, err = run([*argv, "--out", str(out)], capsys)
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in err
+    assert stdout == "" and not out.exists()

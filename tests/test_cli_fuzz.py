@@ -91,7 +91,8 @@ FLAGS = {
     "--epochs": one(mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "x"]))),
     "--drop-last": st.just([]),
 }
-COMMON = ("--seed", "--format", "--out")
+#: the flags every subcommand takes
+COMMON = ("--out",)
 SYNTH = ("--n", "--mean-src", "--std-src", "--max-len", "--pair-diff", "--length-dist")
 #: the flags a working command line of each subcommand needs
 NEEDED = {
@@ -99,10 +100,10 @@ NEEDED = {
     "simulate": ("--out", "--m", "--k"),
 }
 OPTIONAL = {
-    "gen": ("--seed", "--format", "--pair-diff", "--length-dist"),
-    "stats": (*COMMON, "--corpus-format", "--max-len", "--hist-out"),
+    "gen": ("--seed", "--pair-diff", "--length-dist"),
+    "stats": ("--format", "--out", "--corpus-format", "--max-len", "--hist-out"),
     "simulate": ("--seed", "--format", "--seeds", "--epochs", "--drop-last"),
-    "report": COMMON,
+    "report": ("--format", "--out"),
 }
 
 RUN_DIRS = ("run_k1_seed0", "run_k3_seed0", "run_kall_seed0")

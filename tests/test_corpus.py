@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from sortbatch.corpus import (
     compute_stats,
     corpus_hash,
     filter_max_len,
+    id_text_table,
     load_corpus,
     shuffle,
     synth_generate,
@@ -41,9 +43,20 @@ def test_pair_rejects_nonpositive_lengths():
         SentencePair(id=0, src_len=3, tgt_len=-1)
 
 
+def test_pair_rejects_negative_id():
+    with pytest.raises(ValueError, match="id"):
+        SentencePair(-1, 1, 1)
+
+
 def test_corpus_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="distinct"):
         Corpus([0, 0], [1, 1], [1, 1])
+
+
+@pytest.mark.parametrize("ids", [[0, 2], [1, 2], [-1, 0], [0, 0]])
+def test_corpus_ids_must_be_the_lines_0_to_n(ids):
+    with pytest.raises(ValueError, match="distinct"):
+        Corpus(ids, [1, 1], [1, 1])
 
 
 @pytest.mark.parametrize("rows", [[0, 0], [2, 1, 2], [-1, 3], [0, -4]])
@@ -54,17 +67,23 @@ def test_take_rejects_repeated_rows(rows):
 
 def test_take_keeps_order_limit_and_read_only_columns():
     corpus = filter_max_len(make_corpus([(1, 2), (3, 4), (5, 6)]), 9)
-    taken = corpus.take([2, 0])
-    assert taken.pairs == (SentencePair(2, 5, 6), SentencePair(0, 1, 2))
+    taken = corpus.take([2, 0, 1])
+    assert taken.pairs == (SentencePair(2, 5, 6), SentencePair(0, 1, 2), SentencePair(1, 3, 4))
     assert taken.max_len_filter == 9
     assert not any(column.flags.writeable for column in (taken.ids, taken.src, taken.tgt))
 
 
 def test_id_text_rows_run_from_the_smallest_contiguous_id():
-    text, lengths = Corpus([11, 9, 10], [1, 1, 1], [1, 1, 1]).id_text
-    assert [row.replace(b"\0", b"") for row in text.tolist()] == [b"9, ", b"10, ", b"11, "]
-    assert lengths.tolist() == [3, 4, 4]
-    assert Corpus([0, 2], [1, 1], [1, 1]).id_text is None
+    corpus = Corpus([2, 0, 1] + list(range(3, 11)), [1] * 11, [1] * 11)
+    text, lengths = corpus.id_text
+    assert [row.replace(b"\0", b"") for row in text.tolist()] == [f"{i}, ".encode() for i in range(11)]
+    assert lengths.tolist() == [3] * 10 + [4]
+    assert not (text.flags.writeable or lengths.flags.writeable)
+
+
+def test_id_text_table_rejects_negative_ids():
+    with pytest.raises(ValueError, match=">= 0"):
+        id_text_table(np.array([3, -1, 0]))
 
 
 def test_corpus_rejects_filter_violations():
@@ -214,6 +233,16 @@ def test_filter_is_noop_above_max():
     corpus = make_corpus([(3, 4), (7, 2)])
     kept = filter_max_len(corpus, 10)
     assert [(p.src_len, p.tgt_len) for p in kept.pairs] == [(3, 4), (7, 2)]
+
+
+@given(corpora, st.integers(1, 40), st.integers(0, 2**31))
+@settings(max_examples=50)
+def test_filter_renumbers_kept_pairs_in_order(corpus, limit, seed):
+    shuffled = shuffle(corpus, seed)
+    kept = filter_max_len(shuffled, limit)
+    assert kept.ids.tolist() == list(range(len(kept)))
+    rows = [(s, t) for s, t in zip(shuffled.src.tolist(), shuffled.tgt.tolist()) if max(s, t) <= limit]
+    assert list(zip(kept.src.tolist(), kept.tgt.tolist())) == rows
 
 
 def test_filter_boundary_keeps_equal_lengths():

@@ -13,6 +13,7 @@ from sortbatch.corpus import SynthParams, synth_generate
 from sortbatch.diagnostics import (
     METRICS,
     BatchSeries,
+    CycleReport,
     autocorrelation,
     cycle_analysis,
     default_max_lag,
@@ -199,8 +200,7 @@ def test_single_cycle_hand_trace():
     assert [b.padded_src for b in batches] == [2, 5]
     report = cycle_analysis(batches, config)
     assert report.cycle_score == 1.0
-    assert report.n_cycles == 1
-    assert not report.uninformative
+    assert report == CycleReport(cycle_score=1.0, n_cycles=1)
 
 
 @given(st.integers(0, 2**31), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5))
@@ -216,11 +216,11 @@ def test_divisible_epochs_score_exactly_one(seed, m, k, cycles):
     assert len(batches) == k * report.n_cycles
 
 
-def test_k1_cycles_flagged_uninformative():
+def test_k1_cycles_are_single_batches_scoring_one():
     corpus = make_corpus([3, 1, 4, 1, 5])
     config = BatchPlanConfig(m=2, k=1, policy=PARTIAL_SORT, seed=1)
     report = cycle_analysis(run_epochs(corpus, config), config)
-    assert report.uninformative
+    assert report.n_cycles == 3
     assert report.cycle_score == 1.0
 
 
@@ -313,12 +313,8 @@ def test_iid_report_json_shape(tmp_path):
     report = iid_report(run_epochs(corpus, config), config)
     d = iid_report_to_dict(report)
     assert d["metric_tag"] == "padded_src"
-    assert d["cycle"] == {
-        "k": 2,
-        "cycle_score": report.cycle.cycle_score,
-        "n_cycles": report.cycle.n_cycles,
-        "uninformative": False,
-    }
+    assert d["cycle"] == {"cycle_score": report.cycle.cycle_score, "n_cycles": report.cycle.n_cycles}
+    assert d["config"]["k"] == 2
     assert all(isinstance(k, str) for k in d["lag_autocorrs"])
     path = tmp_path / "iid.json"
     write_iid_report_json(report, path)
