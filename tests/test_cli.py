@@ -121,6 +121,53 @@ def test_stats_csv_header_and_json_histogram_key_order(corpus_file, capsys):
     assert keys == sorted(str(length) for length in range(1, 21))  # "1", "10", ..., "19", "2", "20", "3"
 
 
+STATS_BYTES = {
+    ("csv", None): (
+        "n_pairs,mean_src,std_src,max_src,mean_tgt,std_tgt,max_tgt,mean_pairwise_abs_diff,max_len_filter\n"
+        "3,3.6667,2.4944,7,3.6667,1.2472,5,1.3333,\n"
+    ),
+    ("csv", "5"): (
+        "n_pairs,mean_src,std_src,max_src,mean_tgt,std_tgt,max_tgt,mean_pairwise_abs_diff,max_len_filter\n"
+        "2,2.0000,1.0000,3,3.0000,1.0000,4,1.0000,5\n"
+    ),
+    ("md", None): (
+        "| stat | value |\n|---|---|\n| n_pairs | 3 |\n| mean_src | 3.6667 |\n| std_src | 2.4944 |\n"
+        "| max_src | 7 |\n| mean_tgt | 3.6667 |\n| std_tgt | 1.2472 |\n| max_tgt | 5 |\n"
+        "| mean_pairwise_abs_diff | 1.3333 |\n| max_len_filter | - |\n"
+    ),
+    ("md", "5"): (
+        "| stat | value |\n|---|---|\n| n_pairs | 2 |\n| mean_src | 2.0000 |\n| std_src | 1.0000 |\n"
+        "| max_src | 3 |\n| mean_tgt | 3.0000 |\n| std_tgt | 1.0000 |\n| max_tgt | 4 |\n"
+        "| mean_pairwise_abs_diff | 1.0000 |\n| max_len_filter | 5 |\n"
+    ),
+    ("json", None): (
+        '{\n  "histogram_src": {\n    "1": 1,\n    "3": 1,\n    "7": 1\n  },\n'
+        '  "histogram_tgt": {\n    "2": 1,\n    "4": 1,\n    "5": 1\n  },\n'
+        '  "max_len_filter": null,\n  "max_src": 7,\n  "max_tgt": 5,\n'
+        '  "mean_pairwise_abs_diff": 1.3333333333333333,\n  "mean_src": 3.6666666666666665,\n'
+        '  "mean_tgt": 3.6666666666666665,\n  "n_pairs": 3,\n'
+        '  "std_src": 2.494438257849294,\n  "std_tgt": 1.247219128924647\n}\n'
+    ),
+    ("json", "5"): (
+        '{\n  "histogram_src": {\n    "1": 1,\n    "3": 1\n  },\n'
+        '  "histogram_tgt": {\n    "2": 1,\n    "4": 1\n  },\n'
+        '  "max_len_filter": 5,\n  "max_src": 3,\n  "max_tgt": 4,\n'
+        '  "mean_pairwise_abs_diff": 1.0,\n  "mean_src": 2.0,\n  "mean_tgt": 3.0,\n'
+        '  "n_pairs": 2,\n  "std_src": 1.0,\n  "std_tgt": 1.0\n}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt, max_len", list(STATS_BYTES))
+def test_stats_bytes_with_and_without_limit(fmt, max_len, tmp_path, capsys):
+    path = tmp_path / "three.tsv"
+    path.write_text("3\t4\n1\t2\n7\t5\n", encoding="utf-8")
+    limit = [] if max_len is None else ["--max-len", max_len]
+    code, stdout, _ = run(["stats", str(path), "--format", fmt, *limit], capsys)
+    assert code == EXIT_OK
+    assert stdout == STATS_BYTES[fmt, max_len]
+
+
 def test_stats_hist_out(corpus_file, tmp_path, capsys):
     hist = tmp_path / "hist.csv"
     code, _, _ = run(["stats", str(corpus_file), "--hist-out", str(hist)], capsys)
