@@ -10,7 +10,8 @@ by (src_len, tgt_len) within consecutive blocks of m*k pairs, then cut into
 batches of m; this module computes it that way, with one stable sort per
 epoch. k is the look-ahead of "partial_sort" only. "unsorted" sorts within
 blocks of m, as k=1 does, which keeps the batches of plain chunking of the
-shuffled corpus; "full_sort" sorts the whole epoch as one block. Ties keep
+shuffled corpus; "full_sort" sorts the whole epoch as one block, and its k
+is written "all" (k_label and config_for_k map between the two). Ties keep
 their shuffled order. Nothing carries across epochs: each epoch gets a fresh
 permutation derived from (seed, epoch). A run is returned as one BatchStream
 of integer columns, not as per-pair objects.
@@ -38,6 +39,8 @@ __all__ = [
     "FULL_SORT",
     "POLICIES",
     "BatchPlanConfig",
+    "k_label",
+    "config_for_k",
     "Batch",
     "BatchStream",
     "epoch_shuffle_seed",
@@ -74,6 +77,19 @@ class BatchPlanConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+
+
+def k_label(config: BatchPlanConfig) -> str:
+    """k as the command line, run directories and tables write it: "all" for full_sort."""
+    return "all" if config.policy == FULL_SORT else str(config.k)
+
+
+def config_for_k(k: int | str, **settings) -> BatchPlanConfig:
+    """The inverse of k_label: 1 is unsorted, an integer > 1 the look-ahead of
+    partial_sort, "all" full_sort; settings are the other BatchPlanConfig fields."""
+    if k == "all":
+        return BatchPlanConfig(policy=FULL_SORT, **settings)
+    return BatchPlanConfig(k=k, policy=UNSORTED if k == 1 else PARTIAL_SORT, **settings)
 
 
 @dataclass(frozen=True)

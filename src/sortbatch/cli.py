@@ -12,9 +12,9 @@ seed; gen, simulate), --format {csv,md,json} (stats, simulate, report),
 --out (all four).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 I/O error.
 
-k values on the command line: 1 means plain shuffled chunking (the unsorted
-policy), an integer > 1 is the look-ahead of the partial sort, and the word
-"all" sorts each whole epoch before chunking (the full_sort policy).
+k values on the command line are integers >= 1 and the word "all"; each
+maps to its policy by batcher.config_for_k. `stats --max-len` filters the
+corpus first and reports that limit as the last column of its table.
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .batcher import (
-    FULL_SORT,
-    PARTIAL_SORT,
-    UNSORTED,
-    BatchPlanConfig,
-    run_epochs,
-    write_batches_jsonl,
-)
+from .batcher import BatchPlanConfig, config_for_k, run_epochs, write_batches_jsonl
 from .corpus import (
     CORPUS_FORMATS,
     LENGTH_DISTS,
@@ -76,6 +69,7 @@ __all__ = [
     "UsageError",
     "run_sweep",
     "collect_reports",
+    "build_parser",
     "main",
     "entrypoint",
     "EXIT_OK",
@@ -119,22 +113,9 @@ class SweepSpec:
             raise ValueError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds: {list(self.seeds)}")
-        labels = [_k_text(k) for k in self.k_values]
+        labels = [str(k) for k in self.k_values]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate k values: {labels}")
-
-
-def _k_text(k_value: int | str) -> str:
-    return k_value if isinstance(k_value, str) else str(k_value)
-
-
-def _config_for(spec: SweepSpec, k_value: int | str, seed: int) -> BatchPlanConfig:
-    common = dict(m=spec.m, seed=seed, drop_last=spec.drop_last, epochs=spec.epochs)
-    if k_value == "all":
-        return BatchPlanConfig(policy=FULL_SORT, **common)
-    if k_value == 1:
-        return BatchPlanConfig(policy=UNSORTED, **common)
-    return BatchPlanConfig(k=k_value, policy=PARTIAL_SORT, **common)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +131,7 @@ def _sweep_record(spec: SweepSpec, digest: str) -> dict:
         source = {"synth": asdict(spec.synth)}
     return {
         "m": spec.m,
-        "k_values": [_k_text(k) for k in spec.k_values],
+        "k_values": [str(k) for k in spec.k_values],
         "seeds": list(spec.seeds),
         "epochs": spec.epochs,
         "drop_last": spec.drop_last,
@@ -193,9 +174,10 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
             json.dump(_sweep_record(spec, digest), handle, indent=2, sort_keys=True)
             handle.write("\n")
 
+        settings = dict(m=spec.m, drop_last=spec.drop_last, epochs=spec.epochs)
         reports = [
-            _run_cell(corpus, _config_for(spec, k_value, seed), digest, stage / f"run_k{_k_text(k_value)}_seed{seed}")
-            for k_value in spec.k_values
+            _run_cell(corpus, config_for_k(k, seed=seed, **settings), digest, stage / f"run_k{k}_seed{seed}")
+            for k in spec.k_values
             for seed in spec.seeds
         ]
         comparison = compare_costs(reports)
@@ -256,10 +238,12 @@ def collect_reports(paths: Sequence[Path]) -> list[RunReport]:
 # stats rendering
 # ---------------------------------------------------------------------------
 
-def _render_stats(stats: LengthStats, fmt: str) -> str:
-    """The stats table: every LengthStats field but the histograms, which
-    only json adds (with string keys, so sort_keys orders them as text)."""
+def _render_stats(stats: LengthStats, max_len: int | None, fmt: str) -> str:
+    """The stats table: every LengthStats field but the histograms, then
+    max_len_filter, the --max-len applied (None if none). Only json adds the
+    histograms (with string keys, so sort_keys orders them as text)."""
     values = {f.name: getattr(stats, f.name) for f in fields(LengthStats) if not f.name.startswith("histogram_")}
+    values["max_len_filter"] = max_len
     if fmt == "json":
         values["histogram_src"] = {str(k): v for k, v in stats.histogram_src.items()}
         values["histogram_tgt"] = {str(k): v for k, v in stats.histogram_tgt.items()}
@@ -387,7 +371,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.max_len is not None:
         corpus = filter_max_len(corpus, args.max_len)
     stats = compute_stats(corpus)
-    rendered = _render_stats(stats, args.format)
+    rendered = _render_stats(stats, args.max_len, args.format)
     if args.out is not None:
         args.out.write_text(rendered, encoding="utf-8")
     else:

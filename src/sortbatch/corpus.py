@@ -5,6 +5,8 @@ with one row per sentence pair; no sentence text is kept. Lengths are
 whitespace-token counts (parallel-tsv) or precomputed integers (lengths-tsv).
 A pair's id is its line in the corpus it was loaded or synthesised from,
 counted from 0, so the ids of n pairs are a permutation of 0..n-1.
+A corpus holds those three columns only: filter_max_len returns a plain
+renumbered corpus, and `sortbatch stats` reports the limit it applied itself.
 Corpus values are immutable after construction; every operation is a pure
 function returning a new Corpus, so values are safe to share across threads.
 """
@@ -47,6 +49,7 @@ __all__ = [
     "compute_stats",
     "synth_generate",
     "write_lengths_tsv",
+    "id_text_table",
     "corpus_hash",
 ]
 
@@ -77,18 +80,21 @@ class Corpus:
     """Paired lengths as read-only int64 columns: row r is one pair, ids[r], src[r], tgt[r].
 
     The ids of n pairs are a permutation of 0..n-1 (id i is line i of the
-    corpus file), lengths are >= 1 and none is above max_len_filter, the
-    length limit the columns were filtered to (None if unfiltered). `pairs`, a
+    corpus file) and lengths are >= 1. Each column must hold integers; a
+    float or bool column is refused rather than cast. `pairs`, a
     SentencePair view, `lengths_tsv`, the canonical text, and `id_text`, the
     text of each id, are built on first use. Int64 array columns are used
     without a copy, so the caller must not write to them afterwards.
     """
 
-    def __init__(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike, max_len_filter: int | None = None) -> None:
-        self.ids, self.src, self.tgt = (np.asarray(c, dtype=np.int64).view() for c in (ids, src, tgt))
+    def __init__(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike) -> None:
+        columns = {"ids": np.asarray(ids), "src": np.asarray(src), "tgt": np.asarray(tgt)}
+        for name, column in columns.items():
+            if column.size and column.dtype.kind not in "iu":  # an empty column has no values to lose
+                raise ValueError(f"corpus column {name} must hold integers, got dtype {column.dtype}")
+        self.ids, self.src, self.tgt = (c.astype(np.int64, copy=False).view() for c in columns.values())
         for column in (self.ids, self.src, self.tgt):
             column.setflags(write=False)
-        self.max_len_filter = max_len_filter
         n = len(self.ids)
         shapes = {self.ids.shape, self.src.shape, self.tgt.shape}
         if shapes != {(n,)}:
@@ -102,14 +108,10 @@ class Corpus:
             seen[self.ids] = True
         if not seen.all():
             raise ValueError(f"corpus pair ids must be distinct and in [0, {n}): the lines of the corpus")
-        limit = max_len_filter
-        if limit is not None and ((self.src > limit) | (self.tgt > limit)).any():
-            raise ValueError(f"corpus contains pairs longer than max_len_filter={limit}")
 
     def take(self, rows: ArrayLike) -> Corpus:
-        """The pairs in the order of rows, a permutation of range(len(self)),
-        under the same length limit."""
-        return Corpus(self.ids[rows], self.src[rows], self.tgt[rows], self.max_len_filter)
+        """The pairs in the order of rows, a permutation of range(len(self))."""
+        return Corpus(self.ids[rows], self.src[rows], self.tgt[rows])
 
     @cached_property
     def pairs(self) -> tuple[SentencePair, ...]:
@@ -139,8 +141,8 @@ class Corpus:
 
 @dataclass(frozen=True)
 class LengthStats:
-    """Pair count, per-side length statistics and length filter of a corpus,
-    in the order `sortbatch stats` prints them; the two histograms come last."""
+    """Pair count and per-side length statistics of a corpus, in the order
+    `sortbatch stats` prints them; the two histograms come last."""
 
     n_pairs: int
     mean_src: float
@@ -150,7 +152,6 @@ class LengthStats:
     std_tgt: float
     max_tgt: int
     mean_pairwise_abs_diff: float
-    max_len_filter: int | None
     histogram_src: dict[int, int]
     histogram_tgt: dict[int, int]
 
@@ -313,14 +314,14 @@ def corpus_hash(corpus: Corpus) -> str:
 def filter_max_len(corpus: Corpus, limit: int) -> Corpus:
     """Keep only pairs with both sides at most `limit` tokens, order preserved.
 
-    The cutoff applies to source and target alike; the limit is recorded on
-    the returned corpus. The kept pairs are renumbered 0..n'-1 in order, as
-    the lines of the filtered corpus. The result may be empty.
+    The cutoff applies to source and target alike. The kept pairs are
+    renumbered 0..n'-1 in order, as the lines of the filtered corpus. The
+    result may be empty.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     kept = np.flatnonzero((corpus.src <= limit) & (corpus.tgt <= limit))
-    return Corpus(np.arange(len(kept)), corpus.src[kept], corpus.tgt[kept], limit)
+    return Corpus(np.arange(len(kept)), corpus.src[kept], corpus.tgt[kept])
 
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:
@@ -345,7 +346,6 @@ def compute_stats(corpus: Corpus) -> LengthStats:
         std_tgt=float(tgt.std()),
         max_tgt=int(tgt.max()),
         mean_pairwise_abs_diff=float(np.abs(src - tgt).mean()),
-        max_len_filter=corpus.max_len_filter,
         histogram_src=_histogram(src),
         histogram_tgt=_histogram(tgt),
     )

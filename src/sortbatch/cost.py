@@ -17,6 +17,7 @@ reports carry avg_definition metadata naming that convention.
 
 A RunReport (and its report.json) holds only these run aggregates. One batch's
 costs are cost_of_batch(stream[b]), or rebuilt from batches.jsonl and corpus.tsv.
+A comparison row's k is batcher.k_label of its config ("all" for full_sort).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .batcher import FULL_SORT, PARTIAL_SORT, UNSORTED, Batch, BatchPlanConfig, BatchStream
+from .batcher import FULL_SORT, PARTIAL_SORT, UNSORTED, Batch, BatchPlanConfig, BatchStream, k_label
 
 AVG_DEFINITION = "mean_of_per_batch_max"
 
@@ -46,7 +47,6 @@ __all__ = [
     "cost_of_batch",
     "summarize_run",
     "compare_costs",
-    "k_label",
     "report_to_dict",
     "report_from_dict",
     "write_report_json",
@@ -205,11 +205,6 @@ class CostComparison:
     corpus_hash: str | None
     rows: tuple[ComparisonRow, ...]
     baseline_missing: bool
-
-
-def k_label(config: BatchPlanConfig) -> str:
-    """Row label for the look-ahead column: 'all' marks the full sort."""
-    return "all" if config.policy == FULL_SORT else str(config.k)
 
 
 def _group_key(report: RunReport) -> tuple[int, int]:

@@ -44,6 +44,7 @@ __all__ = [
     "extract_series",
     "autocorrelation",
     "cycle_analysis",
+    "default_max_lag",
     "iid_report",
     "iid_report_to_dict",
     "write_iid_report_json",

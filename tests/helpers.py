@@ -8,11 +8,11 @@ from sortbatch.batcher import PARTIAL_SORT, POLICIES, BatchPlanConfig
 from sortbatch.corpus import Corpus
 
 
-def make_corpus(lengths, max_len_filter=None) -> Corpus:
+def make_corpus(lengths) -> Corpus:
     """Corpus from a list of ints (src=tgt) or (src, tgt) tuples; ids 0..n-1."""
     rows = [(entry, entry) if isinstance(entry, int) else entry for entry in lengths]
     src, tgt = [r[0] for r in rows], [r[1] for r in rows]
-    return Corpus(range(len(rows)), src, tgt, max_len_filter)
+    return Corpus(range(len(rows)), src, tgt)
 
 
 def look_ahead(draw, policy, ks):

@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from sortbatch import cli
+from sortbatch.batcher import BatchPlanConfig, config_for_k, k_label
 from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, main, run_sweep
 from sortbatch.corpus import SentencePair, SynthParams, load_corpus
 from sortbatch.cost import RunReport
@@ -221,11 +222,17 @@ def test_simulate_maps_k_to_policies(corpus_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     code, _, _ = run(simulate_args(corpus_file, out, seeds=("0",)), capsys)
     assert code == EXIT_OK
-    policies = {
-        label: json.loads((out / f"run_k{label}_seed0" / "report.json").read_text())["config"]["policy"]
-        for label in ("1", "3", "all")
-    }
-    assert policies == {"1": "unsorted", "3": "partial_sort", "all": "full_sort"}
+    assert json.loads((out / "sweep.json").read_text())["k_values"] == ["1", "3", "all"]
+    assert sorted(p.name for p in out.glob("run_*")) == ["run_k1_seed0", "run_k3_seed0", "run_kall_seed0"]
+    header, *rows = (line.split(",") for line in (out / "comparison.csv").read_text().splitlines())
+    cells = [(row[header.index("policy")], row[header.index("k")]) for row in rows]
+    assert cells == [("unsorted", "1"), ("partial_sort", "3"), ("full_sort", "all")]
+    for k, policy, config_k in ((1, "unsorted", 1), (3, "partial_sort", 3), ("all", "full_sort", 1)):
+        config = json.loads((out / f"run_k{k}_seed0" / "report.json").read_text())["config"]
+        assert (config["policy"], config["k"]) == (policy, config_k)
+        # Both directions of the mapping: k to config, and config back to k.
+        assert config_for_k(k, m=4, seed=0) == BatchPlanConfig(**config)
+        assert k_label(BatchPlanConfig(**config)) == str(k)
 
 
 def test_simulate_is_deterministic(corpus_file, tmp_path, capsys):

@@ -65,11 +65,10 @@ def test_take_rejects_repeated_rows(rows):
         make_corpus([1, 2, 3, 4]).take(rows)
 
 
-def test_take_keeps_order_limit_and_read_only_columns():
-    corpus = filter_max_len(make_corpus([(1, 2), (3, 4), (5, 6)]), 9)
+def test_take_keeps_order_and_read_only_columns():
+    corpus = make_corpus([(1, 2), (3, 4), (5, 6)])
     taken = corpus.take([2, 0, 1])
     assert taken.pairs == (SentencePair(2, 5, 6), SentencePair(0, 1, 2), SentencePair(1, 3, 4))
-    assert taken.max_len_filter == 9
     assert not any(column.flags.writeable for column in (taken.ids, taken.src, taken.tgt))
 
 
@@ -86,9 +85,26 @@ def test_id_text_table_rejects_negative_ids():
         id_text_table(np.array([3, -1, 0]))
 
 
-def test_corpus_rejects_filter_violations():
-    with pytest.raises(ValueError, match="max_len_filter=5"):
-        Corpus([0], [10], [1], max_len_filter=5)
+@pytest.mark.parametrize(
+    "columns, name",
+    [
+        (([0.9, 1.2], [1.7, 2.5], [True, 3]), "ids"),
+        (([0, 1], [1.7, 2.5], [1, 3]), "src"),
+        (([0, 1], [1, 2], [True, True]), "tgt"),
+        (([0, 1], [1, 2], np.array([1.0, 3.0])), "tgt"),
+        (([0, 1], ["1", "2"], [1, 3]), "src"),
+    ],
+)
+def test_corpus_rejects_columns_that_are_not_integers(columns, name):
+    with pytest.raises(ValueError, match=f"column {name} must hold integers"):
+        Corpus(*columns)
+
+
+def test_corpus_accepts_empty_and_narrow_integer_columns():
+    assert len(Corpus((), (), ())) == 0
+    corpus = Corpus(np.array([1, 0], dtype=np.uint8), np.array([2, 3], dtype=np.int16), [4, 5])
+    assert corpus.pairs == (SentencePair(1, 2, 4), SentencePair(0, 3, 5))
+    assert {column.dtype for column in (corpus.ids, corpus.src, corpus.tgt)} == {np.dtype(np.int64)}
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +242,6 @@ def test_filter_drops_either_side_over_limit():
     corpus = make_corpus([(3, 4), (126, 10), (5, 130)])
     kept = filter_max_len(corpus, 125)
     assert [(p.src_len, p.tgt_len) for p in kept.pairs] == [(3, 4)]
-    assert kept.max_len_filter == 125
 
 
 def test_filter_is_noop_above_max():
@@ -279,7 +294,6 @@ def test_shuffle_deterministic():
     a = shuffle(corpus, 7)
     b = shuffle(corpus, 7)
     assert [p.id for p in a.pairs] == [p.id for p in b.pairs]
-    assert shuffle(filter_max_len(corpus, 15), 7).max_len_filter == 15
 
 
 def test_shuffle_seeds_give_same_multiset():
