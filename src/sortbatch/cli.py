@@ -400,26 +400,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         drop_last=args.drop_last,
     )
     comparison, _ = run_sweep(spec)
-    print(_render_comparison(comparison, args.format), end="")
+    _emit_comparison(comparison, args.format, None)
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    comparison = compare_costs(collect_reports(args.runs))
-    rendered = _render_comparison(comparison, args.format)
-    if args.out is not None:
-        args.out.write_text(rendered, encoding="utf-8")
-    else:
-        print(rendered, end="")
+    _emit_comparison(compare_costs(collect_reports(args.runs)), args.format, args.out)
     return EXIT_OK
 
 
-def _render_comparison(comparison: CostComparison, fmt: str) -> str:
-    """The table in the chosen format; a missing baseline is also noted on stderr."""
+def _emit_comparison(comparison: CostComparison, fmt: str, out: Path | None) -> None:
+    """Write the table in the chosen format to `out`, or stdout if None. A
+    missing baseline is noted on stderr only once the table is written, so a
+    failed write leaves stderr holding just its error."""
+    render = {"csv": comparison_to_csv, "md": comparison_to_markdown, "json": comparison_to_json}
+    rendered = render[fmt](comparison)
+    if out is not None:
+        out.write_text(rendered, encoding="utf-8")
+    else:
+        print(rendered, end="")
     if comparison.baseline_missing:
         print("warning: no unsorted baseline among reports; ratio columns omitted", file=sys.stderr)
-    render = {"csv": comparison_to_csv, "md": comparison_to_markdown, "json": comparison_to_json}
-    return render[fmt](comparison)
 
 
 _COMMANDS = {

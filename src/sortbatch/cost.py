@@ -214,8 +214,9 @@ def _group_key(report: RunReport) -> tuple[int, int]:
 def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
     """Merge per-seed reports into one row per policy/k cell.
 
-    Ratio columns divide each cell by the unsorted baseline row; without an
-    unsorted report the ratios are omitted and the comparison is flagged.
+    Ratio columns divide each cell by the unsorted baseline row, and are None
+    where the baseline value is 0; without an unsorted report the ratios are
+    omitted and the comparison is flagged.
     All reports must describe runs over the same corpus, batch size, epoch
     count and drop_last setting, and no two the same (policy, k, seed) cell.
     """
@@ -260,12 +261,12 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
         rows = [
             replace(
                 row,
-                ratio_avg_src=row.avg_padded_src / baseline.avg_padded_src,
-                ratio_avg_tgt=row.avg_padded_tgt / baseline.avg_padded_tgt,
+                ratio_avg_src=_safe_ratio(row.avg_padded_src, baseline.avg_padded_src),
+                ratio_avg_tgt=_safe_ratio(row.avg_padded_tgt, baseline.avg_padded_tgt),
                 ratio_waste_src=_safe_ratio(row.waste_src, baseline.waste_src),
                 ratio_waste_tgt=_safe_ratio(row.waste_tgt, baseline.waste_tgt),
-                ratio_linear=row.linear_cost / baseline.linear_cost,
-                ratio_quadratic=row.quadratic_cost / baseline.quadratic_cost,
+                ratio_linear=_safe_ratio(row.linear_cost, baseline.linear_cost),
+                ratio_quadratic=_safe_ratio(row.quadratic_cost, baseline.quadratic_cost),
             )
             for row in rows
         ]

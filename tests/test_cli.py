@@ -549,6 +549,14 @@ def test_missing_baseline_noted_on_stderr(corpus_file, tmp_path, capsys):
     assert "no unsorted baseline" in err
 
 
+def test_failed_report_write_prints_only_the_error(corpus_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("3",), seeds=("0",)), capsys)
+    code, _, err = run(["report", str(out), "--out", str(tmp_path / "missing" / "table.csv")], capsys)
+    assert code == EXIT_IO
+    assert err.startswith("error: ") and "no unsorted baseline" not in err
+
+
 def test_simulate_makes_no_per_pair_objects(corpus_file, tmp_path, monkeypatch):
     def refuse(self):
         raise AssertionError("SentencePair built on the simulate path")

@@ -1,6 +1,7 @@
 """Padding-cost accounting: per-batch math, run aggregation, comparisons."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,15 @@ def test_missing_baseline_flags_and_omits_ratios():
     comparison = compare_costs([_report(PARTIAL_SORT, 5, 0, [batch_of([3, 4])])])
     assert comparison.baseline_missing
     assert comparison.rows[0].ratio_avg_src is None
+
+
+def test_zero_baseline_value_leaves_its_ratio_empty():
+    unsorted = _report(UNSORTED, 1, 0, [batch_of([3, 4])])
+    partial = _report(PARTIAL_SORT, 3, 0, [batch_of([3, 4])])
+    comparison = compare_costs([replace(unsorted, avg_padded_src=0.0, total_linear_cost=0.0), partial])
+    row = comparison.rows[1]
+    assert (row.ratio_avg_src, row.ratio_linear) == (None, None)
+    assert math.isclose(row.ratio_avg_tgt, 1.0)
 
 
 def test_identical_reports_ratio_one():
