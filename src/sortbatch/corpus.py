@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -161,10 +162,12 @@ class SynthParams:
     """Parameters for the synthetic paired-length generator.
 
     Source lengths are drawn from `length_dist` fitted so that the moments of
-    its truncation to [1, max_len] match (mean_src, std_src); target lengths
-    couple to the source via a zero-mean perturbation with mean absolute value
-    close to pair_diff_mean. Lengths are drawn as floats, so max_len is at most
-    2**53; std_src and pair_diff_mean lie in [0, max_len].
+    its truncation to [1, max_len] match (mean_src, std_src). They are sampled
+    by inverse CDF: a uniform draw over the truncation's CDF range goes through
+    a numpy normal quantile (Acklam's start, Halley steps against Cody's erfc).
+    Target lengths couple to the source via a zero-mean perturbation with mean
+    absolute value close to pair_diff_mean. Lengths are drawn as floats, so
+    max_len is at most 2**53; std_src and pair_diff_mean lie in [0, max_len].
     """
 
     n: int
@@ -361,43 +364,173 @@ def _histogram(values: np.ndarray) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _lognormal_trunc_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
-    from scipy.special import ndtr
+#: Cody's rational approximations (Math. Comp. 23, 1969, as in his CALERF):
+#: erf(y) = y P(y^2)/Q(y^2) for y <= 0.46875, erfc(y) = exp(-y^2) R(y) above,
+#: with R a ratio of degree-8 polynomials up to 4 and an asymptotic series in
+#: 1/y^2 beyond. Coefficients from the highest degree down.
+_ERF_P = (
+    1.85777706184603153e-1, 3.16112374387056560, 1.13864154151050156e2, 3.77485237685302021e2,
+    3.20937758913846947e3,
+)
+_ERF_Q = (1.0, 2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3, 2.84423683343917062e3)
+_ERFC_P = (
+    2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594, 6.61191906371416295e1,
+    2.98635138197400131e2, 8.81952221241769090e2, 1.71204761263407058e3, 2.05107837782607147e3,
+    1.23033935479799725e3,
+)
+_ERFC_Q = (
+    1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2, 1.62138957456669019e3,
+    3.29079923573345963e3, 4.36261909014324716e3, 3.43936767414372164e3, 1.23033935480374942e3,
+)
+_ERFC_ASYM_P = (
+    1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+    1.60837851487422766e-2, 6.58749161529837803e-4,
+)
+_ERFC_ASYM_Q = (
+    1.0, 2.56852019228982242, 1.87295284992346725, 5.27905102951428412e-1, 6.05183413124413191e-2,
+    2.33520497626869185e-3,
+)
+#: Acklam's rational start for the lower-tail normal quantile (relative error
+#: below 1.15e-9): a central ratio in (p - 1/2) and a tail ratio in sqrt(-2 log p).
+_ACKLAM_A = (
+    -3.969683028665376e1, 2.209460984245205e2, -2.759285104469687e2, 1.383577518672690e2,
+    -3.066479806614716e1, 2.506628277459239,
+)
+_ACKLAM_B = (
+    -5.447609879822406e1, 1.615858368580409e2, -1.556989798598866e2, 6.680131188771972e1,
+    -1.328068155288572e1, 1.0,
+)
+_ACKLAM_C = (
+    -7.784894002430293e-3, -3.223964580411365e-1, -2.400758277161838, -2.549732539343734,
+    4.374664141464968, 2.938163982698783,
+)
+_ACKLAM_D = (7.784695709041462e-3, 3.224671290700398e-1, 2.445134137142996, 3.754408661907416, 1.0)
+_ACKLAM_TAIL = 0.02425
+#: Cody's XBIG: erfc is subnormal, with few bits left, from here on.
+_ERFC_BIG = 26.543
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: Largest argument of exp that stays finite.
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
+
+def _erfc_small(y: np.ndarray) -> np.ndarray:
+    ysq = y * y
+    return 1.0 - y * np.polyval(_ERF_P, ysq) / np.polyval(_ERF_Q, ysq)
+
+
+def _exp_minus_square(y: np.ndarray) -> np.ndarray:
+    """exp(-y^2) as two factors, which keeps the tail's relative accuracy."""
+    head = np.floor(16.0 * y) / 16.0
+    return np.exp(-head * head) * np.exp(-(y - head) * (y + head))
+
+
+def _erfc_mid(y: np.ndarray) -> np.ndarray:
+    return _exp_minus_square(y) * np.polyval(_ERFC_P, y) / np.polyval(_ERFC_Q, y)
+
+
+def _erfc_large(y: np.ndarray) -> np.ndarray:
+    inv = 1.0 / y
+    inv_sq = inv * inv
+    series = inv_sq * np.polyval(_ERFC_ASYM_P, inv_sq) / np.polyval(_ERFC_ASYM_Q, inv_sq)
+    return _exp_minus_square(y) * (1.0 / math.sqrt(math.pi) - series) * inv
+
+
+def _erfc(y: np.ndarray) -> np.ndarray:
+    """erfc(y) for y >= 0 (Cody 1969), to a few ulp; 0 from _ERFC_BIG on,
+    where it falls below the smallest normal float."""
+    big = y >= _ERFC_BIG
+    return np.piecewise(y, [y <= 0.46875, (y > 4.0) & ~big, big], [_erfc_small, _erfc_large, 0.0, _erfc_mid])
+
+
+def _ndtr(x: ArrayLike) -> np.ndarray:
+    """Standard normal CDF, erfc(-x/sqrt(2))/2."""
+    t = -np.asarray(x, dtype=np.float64) / math.sqrt(2.0)
+    upper = _erfc(np.abs(t))
+    return 0.5 * np.where(t < 0, 2.0 - upper, upper)
+
+
+def _acklam_central(p: np.ndarray) -> np.ndarray:
+    q = p - 0.5
+    r = q * q
+    return q * np.polyval(_ACKLAM_A, r) / np.polyval(_ACKLAM_B, r)
+
+
+def _acklam_tail(p: np.ndarray) -> np.ndarray:
+    s = np.sqrt(-2.0 * np.log(p))
+    return np.polyval(_ACKLAM_C, s) / np.polyval(_ACKLAM_D, s)
+
+
+def _ndtri(u: ArrayLike) -> np.ndarray:
+    """Standard normal quantile: Acklam's rational start, then two Halley
+    steps against erfc. Works on the lower-tail probability min(u, 1 - u),
+    where 1 - u is exact for u >= 1/2. ndtri(0) = -inf and ndtri(1) = inf; a
+    probability below the smallest normal float maps to that float's quantile,
+    near -37.5, where `_ndtr` underflows."""
+    u = np.asarray(u, dtype=np.float64)
+    p = np.minimum(u, 1.0 - u)
+    clipped = np.clip(p, np.finfo(np.float64).tiny, 0.5)
+    x = np.piecewise(clipped, [clipped < _ACKLAM_TAIL], [_acklam_tail, _acklam_central])
+    for _ in range(2):  # x <= 0, so ndtr(x) = erfc(-x / sqrt(2)) / 2
+        step = (0.5 * _erfc(-x / math.sqrt(2.0)) - clipped) * _SQRT_2PI * np.exp(0.5 * x * x)
+        x = x - step / (1.0 + 0.5 * x * step)
+    x = np.where(p == 0, -np.inf, x)
+    return np.where(u > 0.5, -x, x)
+
+
+def _lognormal_trunc_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
+    if 2.0 * (mu + sigma * sigma) >= _LOG_MAX_FLOAT:  # the untruncated second moment overflows
+        return math.nan, math.nan
     a = (math.log(lo) - mu) / sigma
     b = (math.log(hi) - mu) / sigma
-    z = ndtr(b) - ndtr(a)
-    if z <= 0.0:
+    cdf = _ndtr([b, a, b - sigma, a - sigma, b - 2.0 * sigma, a - 2.0 * sigma])
+    z, mass1, mass2 = (cdf[0::2] - cdf[1::2]).tolist()
+    if min(z, mass1, mass2) <= 0.0:  # a mass that underflows leaves no moment
         return math.nan, math.nan
-    m1 = math.exp(mu + 0.5 * sigma * sigma) * (ndtr(b - sigma) - ndtr(a - sigma)) / z
-    m2 = math.exp(2.0 * mu + 2.0 * sigma * sigma) * (ndtr(b - 2.0 * sigma) - ndtr(a - 2.0 * sigma)) / z
-    return float(m1), math.sqrt(max(float(m2) - float(m1) ** 2, 0.0))
+    m1 = math.exp(mu + 0.5 * sigma * sigma) * mass1 / z
+    m2 = math.exp(2.0 * mu + 2.0 * sigma * sigma) * mass2 / z
+    return m1, math.sqrt(max(m2 - m1**2, 0.0))
 
 
 def _normal_trunc_moments(loc: float, scale: float, lo: float, hi: float) -> tuple[float, float]:
-    from scipy.special import ndtr
-
     a = (lo - loc) / scale
     b = (hi - loc) / scale
-    z = ndtr(b) - ndtr(a)
+    cdf_b, cdf_a = _ndtr([b, a]).tolist()
+    z = cdf_b - cdf_a
     if z <= 0.0:
         return math.nan, math.nan
-    pdf_a = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
-    pdf_b = math.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
+    pdf_a = math.exp(-0.5 * a * a) / _SQRT_2PI
+    pdf_b = math.exp(-0.5 * b * b) / _SQRT_2PI
     m1 = loc + scale * (pdf_a - pdf_b) / z
     var = scale * scale * (1.0 + (a * pdf_a - b * pdf_b) / z - ((pdf_a - pdf_b) / z) ** 2)
-    return float(m1), math.sqrt(max(float(var), 0.0))
+    return m1, math.sqrt(max(var, 0.0))
+
+
+#: Newton iterations, and halvings of one step, before a fit counts as having no root.
+_NEWTON_STEPS = 40
+_HALVINGS = 30
+#: Relative forward-difference step, the square root of the float epsilon.
+_FD_STEP = math.sqrt(sys.float_info.epsilon)
+#: A relative Newton step this small leaves the iterate at the root to float
+#: precision: the forward-difference Jacobian, accurate to about _FD_STEP,
+#: shrinks each step by about that factor.
+_XTOL = 1e-10
+#: Relative distance of a settled iterate's moments from their targets below
+#: which it counts as a root.
+_FTOL = 1e-9
 
 
 def _fit_family(dist: str, mean: float, std: float, lo: float, hi: float) -> tuple[float, float]:
     """Location/scale whose truncation to [lo, hi] has moments (mean, std).
 
     Starts from the plain moment fit of the untruncated family and refines by
-    root finding; falls back to the start point when the truncated equations
-    have no usable solution (extreme parameter corners).
+    damped Newton steps in (loc, log scale), with a forward-difference
+    Jacobian, until a step no longer moves the iterate. Falls back to the
+    start point when the truncated equations have no finite root: the start
+    scale has no logarithm, the Jacobian is singular, no fraction of a step
+    brings the moments closer while keeping them finite, the steps do not
+    settle within _NEWTON_STEPS iterations, or they settle away from the
+    target moments.
     """
-    from scipy import optimize
-
     if dist == LOGNORMAL:
         s2 = math.log(1.0 + (std / mean) ** 2)
         start = (math.log(mean) - 0.5 * s2, math.sqrt(s2))
@@ -405,27 +538,59 @@ def _fit_family(dist: str, mean: float, std: float, lo: float, hi: float) -> tup
     else:
         start = (mean, std)
         moments = _normal_trunc_moments
-
-    def equations(theta: Sequence[float]) -> list[float]:
-        m, s = moments(theta[0], math.exp(theta[1]), lo, hi)
-        if not (math.isfinite(m) and math.isfinite(s)):
-            return [1e9, 1e9]
-        return [m - mean, s - std]
-
-    try:
-        solution = optimize.root(equations, [start[0], math.log(start[1])], method="hybr")
-    except Exception:
+    if not 0 < start[1] < math.inf:
         return start
-    if solution.success:
-        loc, scale = float(solution.x[0]), float(math.exp(solution.x[1]))
-        if all(math.isfinite(v) for v in moments(loc, scale, lo, hi)):
-            return loc, scale
+
+    def residual(theta: tuple[float, float]) -> tuple[float, float] | None:
+        """Relative distance of the moments at theta from the targets; None where they are not finite."""
+        if theta[1] >= _LOG_MAX_FLOAT:
+            return None
+        scale = math.exp(theta[1])
+        if scale == 0.0:
+            return None
+        m, s = moments(theta[0], scale, lo, hi)
+        if not (math.isfinite(m) and math.isfinite(s)):
+            return None
+        return (m - mean) / mean, (s - std) / std
+
+    def size(r: tuple[float, float]) -> float:
+        return max(abs(r[0]), abs(r[1]))
+
+    theta = (start[0], math.log(start[1]))
+    f = residual(theta)
+    for _ in range(_NEWTON_STEPS):
+        if f is None:
+            return start
+        columns = []
+        for i in range(2):
+            h = _FD_STEP * max(abs(theta[i]), 1.0)
+            nudged = residual((theta[0] + h, theta[1]) if i == 0 else (theta[0], theta[1] + h))
+            if nudged is None:
+                return start
+            columns.append(((nudged[0] - f[0]) / h, (nudged[1] - f[1]) / h))
+        (j00, j10), (j01, j11) = columns
+        det = j00 * j11 - j01 * j10
+        if det == 0.0 or not math.isfinite(det):
+            return start
+        step = ((j11 * f[0] - j01 * f[1]) / det, (j00 * f[1] - j10 * f[0]) / det)
+        if all(abs(d) <= _XTOL * max(abs(t), 1.0) for d, t in zip(step, theta)):
+            theta = (theta[0] - step[0], theta[1] - step[1])
+            f = residual(theta)
+            at_root = f is not None and size(f) <= _FTOL
+            return (theta[0], math.exp(theta[1])) if at_root else start
+        for _ in range(_HALVINGS):  # damping: the longest step 2**-j that brings the moments closer
+            candidate = (theta[0] - step[0], theta[1] - step[1])
+            g = residual(candidate)
+            if g is not None and size(g) < size(f):
+                break
+            step = (step[0] / 2.0, step[1] / 2.0)
+        else:
+            return start
+        theta, f = candidate, g
     return start
 
 
 def _sample_src_lengths(params: SynthParams, rng: np.random.Generator) -> np.ndarray:
-    from scipy.special import ndtr, ndtri
-
     value = min(max(int(round(params.mean_src)), 1), params.max_len)
     if params.std_src == 0:
         return np.full(params.n, value, dtype=np.int64)
@@ -434,13 +599,13 @@ def _sample_src_lengths(params: SynthParams, rng: np.random.Generator) -> np.nda
     if not 0 < scale < math.inf:  # a spread too small or too large for floats
         return np.full(params.n, value, dtype=np.int64)
     if params.length_dist == LOGNORMAL:
-        cdf_lo, cdf_hi = ndtr((math.log(lo) - loc) / scale), ndtr((math.log(hi) - loc) / scale)
+        cdf_lo, cdf_hi = _ndtr((math.log(lo) - loc) / scale), _ndtr((math.log(hi) - loc) / scale)
     else:
-        cdf_lo, cdf_hi = ndtr((lo - loc) / scale), ndtr((hi - loc) / scale)
+        cdf_lo, cdf_hi = _ndtr((lo - loc) / scale), _ndtr((hi - loc) / scale)
     if cdf_hi - cdf_lo < 1e-12:
         return np.full(params.n, value, dtype=np.int64)
     u = cdf_lo + rng.random(params.n) * (cdf_hi - cdf_lo)
-    x = ndtri(u) * scale + loc
+    x = _ndtri(u) * scale + loc
     if params.length_dist == LOGNORMAL:
         x = np.exp(x)
     return np.clip(np.rint(x), 1, params.max_len).astype(np.int64)
@@ -449,9 +614,10 @@ def _sample_src_lengths(params: SynthParams, rng: np.random.Generator) -> np.nda
 def synth_generate(params: SynthParams) -> Corpus:
     """Generate a deterministic synthetic corpus of paired lengths.
 
-    Target lengths are the source lengths plus round(eps) with eps drawn
-    zero-mean normal scaled so E|eps| equals pair_diff_mean, clamped to
-    [1, max_len].
+    Source lengths are sampled by inverse CDF with a numpy normal quantile
+    (see SynthParams). Target lengths are the source lengths plus round(eps)
+    with eps drawn zero-mean normal scaled so E|eps| equals pair_diff_mean,
+    clamped to [1, max_len].
     """
     rng = np.random.default_rng(params.seed)
     src = _sample_src_lengths(params, rng)

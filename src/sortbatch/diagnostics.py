@@ -9,8 +9,8 @@ testable proxies quantify that:
     sort buffer imposes structure;
   * cycle_score: the fraction of refill cycles (the k batches emitted
     between buffer refills) whose padded_src sequence is non-decreasing.
-    The sorted buffer makes this 1.0 whenever the epoch size is a multiple
-    of m*k.
+    Under this loader it is always 1.0: each refill cycle is one sorted
+    block cut from its start into batches of m, so its padded_src cannot drop.
 
 No single batch statistic is privileged; several metric tags are exposed.
 """

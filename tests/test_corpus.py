@@ -1,5 +1,6 @@
 """Corpus loading, filtering, shuffling, statistics, and synthesis."""
 
+import json
 import math
 import os
 import subprocess
@@ -27,6 +28,7 @@ from sortbatch.corpus import (
     synth_generate,
     write_lengths_tsv,
 )
+from sortbatch.corpus import _ndtr, _ndtri
 
 from .helpers import corpora, make_corpus
 
@@ -195,6 +197,24 @@ def test_loading_lengths_does_not_import_scipy(tmp_path):
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code, str(path)], env=env).returncode == 0
+
+
+def test_synthesising_from_the_cli_does_not_import_scipy(tmp_path):
+    code = """
+import json, sys
+from sortbatch.cli import main
+flags = ["--n", "300", "--mean-src", "10", "--std-src", "3", "--max-len", "50", "--pair-diff", "1"]
+for dist in ("lognormal", "normal"):
+    dist_flags = [*flags, "--length-dist", dist]
+    assert main(["gen", *dist_flags, "--out", f"{sys.argv[1]}/{dist}.tsv"]) == 0
+    sweep = ["--m", "8", "--k", "1", "4", "all", "--seeds", "0", "--out", f"{sys.argv[1]}/{dist}"]
+    assert main(["simulate", *dist_flags, *sweep]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_load_rejects_empty_file(tmp_path):
@@ -441,6 +461,25 @@ def test_synth_zero_pair_diff_copies_source():
     params = SynthParams(n=500, mean_src=15, std_src=5, max_len=60, pair_diff_mean=0.0, seed=9)
     corpus = synth_generate(params)
     assert all(p.src_len == p.tgt_len for p in corpus.pairs)
+
+
+def test_ndtr_is_symmetric_to_a_few_ulp():
+    x = np.linspace(-40.0, 40.0, 80_001)
+    assert np.abs(_ndtr(x) + _ndtr(-x) - 1.0).max() <= 2 * np.spacing(1.0)
+
+
+def test_ndtri_inverts_ndtr_from_minus_37_to_8():
+    x = np.linspace(-37.0, 8.0, 90_001)
+    p = _ndtr(x)
+    density = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    # p holds x only to its float spacing, which moves the quantile by spacing / density.
+    tolerance = 1e-14 * np.maximum(1.0, np.abs(x)) + 4 * np.spacing(p) / density
+    assert (np.abs(_ndtri(p) - x) <= tolerance).all()
+
+
+def test_ndtri_endpoints():
+    assert _ndtri([0.0, 0.5, 1.0]).tolist() == [-math.inf, 0.0, math.inf]
+    assert _ndtr([-math.inf, 0.0, math.inf]).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_lengths_tsv_text_shape():

@@ -23,7 +23,7 @@ from sortbatch.diagnostics import (
     write_iid_report_json,
 )
 
-from .helpers import make_corpus
+from .helpers import length_pairs, make_corpus
 from .test_cost import batch_of
 
 
@@ -214,6 +214,24 @@ def test_divisible_epochs_score_exactly_one(seed, m, k, cycles):
     assert report.cycle_score == 1.0
     assert report.n_cycles == cycles
     assert len(batches) == k * report.n_cycles
+
+
+@given(
+    st.lists(length_pairs, min_size=1, max_size=300),
+    st.integers(1, 16),
+    st.integers(1, 40),
+    st.integers(0, 2**31),
+    st.integers(1, 3),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_cycle_score_is_one_at_any_epoch_size(lengths, m, k, seed, epochs, drop_last):
+    # Each refill cycle is one sorted block cut from its start into batches of m.
+    corpus = make_corpus(lengths)
+    config = BatchPlanConfig(
+        m=m, k=k, policy=PARTIAL_SORT, seed=seed, epochs=epochs, drop_last=drop_last and m <= len(corpus)
+    )
+    assert cycle_analysis(run_epochs(corpus, config), config).cycle_score == 1.0
 
 
 def test_k1_cycles_are_single_batches_scoring_one():
