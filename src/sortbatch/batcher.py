@@ -199,25 +199,14 @@ def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> Corpus:
     shuffled = shuffle(corpus, epoch_shuffle_seed(config.seed, epoch))
     n = len(shuffled)
     block = n if config.policy == FULL_SORT else min(config.m * config.k, n)
-    key, full = _sort_key(shuffled.src, shuffled.tgt), n - n % block
+    # Each column in its narrowest unsigned type: 16 bits or fewer radix-sort.
+    src, tgt = (c.astype(np.min_scalar_type(int(c.max()))) for c in (shuffled.src, shuffled.tgt))
+    full = n - n % block
     # One row per whole block, each sorted on its own; the short tail is the last block.
-    head = np.argsort(key[:full].reshape(-1, block), axis=1, kind="stable")
+    head = np.lexsort((tgt[:full].reshape(-1, block), src[:full].reshape(-1, block)))
     head += np.arange(0, full, block)[:, None]
-    order = np.concatenate([head.ravel(), np.argsort(key[full:], kind="stable") + full])
+    order = np.concatenate([head.ravel(), np.lexsort((tgt[full:], src[full:])) + full])
     return shuffled.take(order)
-
-
-def _sort_key(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """One integer per pair that orders as (src, tgt) does: src * (max_tgt + 1)
-    + tgt, in the narrowest unsigned type that holds it (16 bits or fewer
-    radix-sort). Where that key would pass the int64 maximum, the ranks of
-    each column (the count of smaller values) stand in for the lengths;
-    ranks are below n, so they fit."""
-    top = int(tgt.max()) + 1
-    if (int(src.max()) + 1) * top > 2**63:
-        src, tgt = (np.searchsorted(np.sort(column), column) for column in (src, tgt))
-        top = int(tgt.max()) + 1
-    return (src * top + tgt).astype(np.min_scalar_type((int(src.max()) + 1) * top - 1))
 
 
 def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> BatchStream:

@@ -170,9 +170,9 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
     stage.mkdir()  # not mkdtemp: its mode 0700 would become the mode of out_dir
     try:
         write_lengths_tsv(corpus, stage / "corpus.tsv")
-        with open(stage / "sweep.json", "w", encoding="utf-8") as handle:
-            json.dump(_sweep_record(spec, digest), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        (stage / "sweep.json").write_text(
+            json.dumps(_sweep_record(spec, digest), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
         settings = dict(m=spec.m, drop_last=spec.drop_last, epochs=spec.epochs)
         reports = [

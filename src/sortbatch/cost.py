@@ -321,16 +321,17 @@ def _check_keys(d: object, cls: type, what: str) -> None:
 def report_from_dict(d: dict) -> RunReport:
     """Inverse of report_to_dict. Raises ValueError on a missing, unknown or
     wrongly typed key, top-level or in config; a report.json written with the
-    former per_batch block is rejected for that unknown key."""
+    former per_batch block is rejected for that unknown key. Averages under
+    any avg_definition but AVG_DEFINITION are not comparable: refused too."""
     _check_keys(d, RunReport, "report")
+    if d.get("avg_definition", AVG_DEFINITION) != AVG_DEFINITION:
+        raise ValueError(f"report field 'avg_definition' must be {AVG_DEFINITION!r}, got {d['avg_definition']!r}")
     _check_keys(d["config"], BatchPlanConfig, "report config")
     return RunReport(**{**d, "config": BatchPlanConfig(**d["config"])})
 
 
 def write_report_json(report: RunReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    Path(path).write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_report_json(path: str | Path) -> RunReport:

@@ -224,6 +224,4 @@ def iid_report_to_dict(report: IIDReport) -> dict:
 
 
 def write_iid_report_json(report: IIDReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(iid_report_to_dict(report), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    Path(path).write_text(json.dumps(iid_report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -222,6 +222,37 @@ def test_epoch_order_is_lexsort_block_sort_at_any_length(lengths):
         assert epoch_order(corpus, config, 0).ids.tolist() == shuffled.ids[np.concatenate(expected)].tolist()
 
 
+@pytest.mark.parametrize(
+    "src_lengths, tgt_lengths",
+    [
+        ([1, 254, 255], [1, 2, 3]),  # both uint8, src at its top
+        ([1, 255, 256], [1, 2, 255]),  # uint16 src, uint8 tgt
+        ([3, 65535, 65536], [7, 255, 256]),  # uint32 src, uint16 tgt
+        ([2, 65535], [5, 2**32 - 1, 2**32]),  # uint16 src, uint64 tgt
+        ([5, 2**32 - 1, 2**32], [2, 65535, 65536]),  # uint64 src, uint32 tgt
+        ([1, 2, 200], [2**32, INT64_MAX - 1, INT64_MAX]),  # uint8 src, uint64 tgt at the int64 maximum
+        ([INT64_MAX - 1, INT64_MAX, 1], [INT64_MAX, 1]),  # both at the int64 maximum
+    ],
+)
+def test_epoch_order_sorts_blocks_across_length_widths(src_lengths, tgt_lengths):
+    """Each column narrows to its own unsigned width; the order is the
+    (src_len, tgt_len) sort of every block at each side of each width switch."""
+    n = 50  # blocks of 12 (partial_sort) and 3 (unsorted) leave a short tail of 2
+    rng = np.random.default_rng(len(src_lengths) * 10 + len(tgt_lengths))
+    src = rng.choice(np.array(src_lengths, dtype=np.int64), size=n)  # few values: many ties
+    tgt = rng.choice(np.array(tgt_lengths, dtype=np.int64), size=n)
+    corpus = Corpus(np.arange(n), src, tgt)
+    shuffled = shuffle(corpus, epoch_shuffle_seed(5, 0)).pairs
+    for policy, k, block in ((PARTIAL_SORT, 4, 12), (UNSORTED, 1, 3), (FULL_SORT, 1, n)):
+        expected = [
+            pair
+            for start in range(0, n, block)
+            for pair in sorted(shuffled[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
+        ]
+        config = BatchPlanConfig(m=3, k=k, policy=policy, seed=5)
+        assert epoch_order(corpus, config, 0).pairs == tuple(expected)
+
+
 # ---------------------------------------------------------------------------
 # invariants (property-based)
 # ---------------------------------------------------------------------------

@@ -516,6 +516,20 @@ def test_report_value_of_wrong_type_is_data_error(corpus_file, tmp_path, capsys,
     assert repr(key) in err and str(path) in err
 
 
+def test_report_other_avg_definition_is_data_error(corpus_file, tmp_path, capsys):
+    """A cell whose averages follow another convention is not divided by the baseline."""
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "3"), seeds=("0",)), capsys)
+    path = out / "run_k3_seed0" / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report["avg_definition"] = "token_weighted_mean"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, stdout, err = run(["report", str(out)], capsys)
+    assert code == EXIT_DATA
+    assert stdout == ""
+    assert "'avg_definition'" in err and "token_weighted_mean" in err and str(path) in err
+
+
 @pytest.mark.parametrize("label", ["1", "all"])
 def test_report_look_ahead_outside_partial_sort_is_data_error(corpus_file, tmp_path, capsys, label):
     out = tmp_path / "sweep"
