@@ -1,15 +1,19 @@
-"""Golden output bytes: three small synthetic simulate sweeps, pinned by the
-sha256 of every file they write.
+"""Golden output bytes: four small simulate sweeps, pinned by the sha256 of
+every file they write.
 
-The sweeps synthesise their corpora (no --corpus path), so sweep.json holds
+Three sweeps synthesise their corpora (no --corpus path), so sweep.json holds
 no path and every file is a function of the command line alone. Their length
 caps put the corpus lengths in uint8, uint16 and uint32 range, the widths at
 which the loader's block sort changes its key type; one sweep runs two epochs
-with --drop-last. A change that is meant to keep the output bytes must pass
-this test as it stands; the digests are never regenerated to make it pass.
+with --drop-last. The fourth reads a corpus file that the test writes with
+plain Python formatting, lengths of 1 to 7 digits, by a relative path from
+the working directory, so its sweep.json holds no temporary path either. A
+change that is meant to keep the output bytes must pass this test as it
+stands; the digests are never regenerated to make it pass.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,30 @@ DIGESTS = {
         "run_kall_seed0/report.json": "fffdcf6e39fade226243562fb96f77c7fc9b67c784c04fa55246c0cd714a437b",
         "sweep.json": "1a9c3fcf70cb9a41586226bc9b137d84be06cab58634f6a4f679cfa15f6e9ebf",
     },
+    "corpus": {
+        "comparison.csv": "43261dd1780b306e1670b8211458b65f9bfc91d2aac88a5df3630981b6464a4b",
+        "comparison.md": "eac13d6676a67c749e60ecbb73ad3d175bfb336b145b72963fe1e73ee3ab5405",
+        "corpus.tsv": "bba70edb0c6fb571d061bb304e62e1ed7057c0c02e5edcae4512de6d97bc3e82",
+        "run_k1_seed0/batches.jsonl": "566fbc4fb8b3e07f01fc968711b5a9083055559c457441de1355c46d275d4146",
+        "run_k1_seed0/iid.json": "6fe950dc5eac2cb70e6f6c2c9774eab94a0dac25124766060ed491016f9ab4b9",
+        "run_k1_seed0/report.json": "96e2d7cb7fc3e05c3d61bafab5f6294b1f7cdacbebd7a12546b88dd928fe3a57",
+        "run_k1_seed1/batches.jsonl": "c81fd1d6ac666ffb415b293d4e029d963c4957e6cc0133c2233dc426f68df938",
+        "run_k1_seed1/iid.json": "041fc677c557c1fd3251fd63460a0040c701a582feca85694ef9c6d45b7ced69",
+        "run_k1_seed1/report.json": "c6774896c8e0f1cd698a83ff7f6ae6d2ab9081976cd4552ac56b8ae0fc536e06",
+        "run_k5_seed0/batches.jsonl": "774a8d8e2f9e03717675d71876c0242cef8bbd378f5d3108efaac5e2767280e2",
+        "run_k5_seed0/iid.json": "0548b56462224dff4ae06b6db129fbcc6701610686a55065630c60a579897968",
+        "run_k5_seed0/report.json": "7ecbfada5481de1f805ee3488e1a964d4588403064b4766ccd8dd860bf341de4",
+        "run_k5_seed1/batches.jsonl": "dd0a5c6644c0f19ccb0fa5e09157c213393f21e9acef29e41b732de8c098d043",
+        "run_k5_seed1/iid.json": "2e16ea1b94296448a460df451b351aea1e1f8ee4d8ad7d7f3222a6485a8f6aae",
+        "run_k5_seed1/report.json": "1f6bd3692fd93f9081753103bd097f38a03cc2cb3ab273e05b7f966e7fe7b8fc",
+        "run_kall_seed0/batches.jsonl": "0310f7a7778182a39d6b13a432a683d3e7e039168914bde1ab5f3b1dc47bf670",
+        "run_kall_seed0/iid.json": "343dac569cd0502bc2cc55990fb5d42af3ede4592851374acfe87ecd623acd1f",
+        "run_kall_seed0/report.json": "31d1d9b89331a9fada5186b0790390111a995951c144fa73cd346f7f67769fc9",
+        "run_kall_seed1/batches.jsonl": "fcc9be1077809fc1515ac91c4273a2ca7d298ecb6b0c5c3e8463f909aae9e87b",
+        "run_kall_seed1/iid.json": "7ee658b29ae48d659578f0204c69d821c3fd86e2cfc1152c97a1fd1ac5ef3750",
+        "run_kall_seed1/report.json": "d4316072f670fdf313aab644e43196aa86a1680080cbc3147eb826f17d9f8a97",
+        "sweep.json": "c0589cc8efa438fa439feb5568c9f1188c4631dc19d0bf2953c06c5ea77b11d3",
+    },
 }
 
 
@@ -94,9 +122,29 @@ def test_simulate_writes_the_pinned_bytes(name, tmp_path, capsys):
     out = tmp_path / name
     assert main(["simulate", *SWEEPS[name], "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
-    written = {
+    assert _digests(out) == DIGESTS[name]
+
+
+def _corpus_text() -> str:
+    """300 lines of lengths whose widths cycle through 1 to 7 digits, the two
+    columns out of step; wider lengths would overflow the int64 batch costs."""
+    rows = [(1 + i * 7919**3 % 10 ** (1 + i % 7), 1 + i * 104729**3 % 10 ** (1 + i * 3 % 7)) for i in range(300)]
+    return "".join(f"{src}\t{tgt}\n" for src, tgt in rows)
+
+
+def test_simulate_from_a_corpus_file_writes_the_pinned_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("input.tsv").write_text(_corpus_text(), encoding="utf-8")
+    argv = ["--corpus", "input.tsv", "--m", "8", "--k", "1", "5", "all", "--seeds", "0", "1", "--epochs", "2"]
+    assert main(["simulate", *argv, "--out", "sweep"]) == EXIT_OK
+    capsys.readouterr()
+    assert Path("sweep/corpus.tsv").read_bytes() == Path("input.tsv").read_bytes()
+    assert _digests(Path("sweep")) == DIGESTS["corpus"]
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in out.rglob("*")
         if path.is_file()
     }
-    assert written == DIGESTS[name]
