@@ -17,6 +17,7 @@ from .batcher import (
     BatchStream,
     epoch_order,
     epoch_shuffle_seed,
+    epoch_shuffles,
     run_epochs,
 )
 from .corpus import (
@@ -63,6 +64,7 @@ __all__ = [
     "BatchStream",
     "epoch_order",
     "epoch_shuffle_seed",
+    "epoch_shuffles",
     "run_epochs",
     "Corpus",
     "CorpusFormatError",

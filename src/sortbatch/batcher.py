@@ -13,8 +13,9 @@ blocks of m, as k=1 does, which keeps the batches of plain chunking of the
 shuffled corpus; "full_sort" sorts the whole epoch as one block, and its k
 is written "all" (k_label and config_for_k map between the two). Ties keep
 their shuffled order. Nothing carries across epochs: each epoch gets a fresh
-permutation derived from (seed, epoch). A run is returned as one BatchStream
-of integer columns, not as per-pair objects.
+permutation derived from (seed, epoch), which epoch_shuffles makes once for
+every policy and k a run seed is batched under. A run is returned as one
+BatchStream of integer columns, not as per-pair objects.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "Batch",
     "BatchStream",
     "epoch_shuffle_seed",
+    "epoch_shuffles",
     "epoch_order",
     "run_epochs",
     "batch_record",
@@ -189,14 +191,20 @@ def epoch_shuffle_seed(base_seed: int, epoch: int) -> int:
     return int(sequence.generate_state(1)[0])
 
 
-def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> Corpus:
-    """The corpus in the order one epoch emits it under a policy.
+def epoch_shuffles(corpus: Corpus, seed: int, epochs: int) -> list[Corpus]:
+    """The shuffled corpus of each epoch 0..epochs-1 of a run seed: one
+    `shuffle` per epoch, seeded by epoch_shuffle_seed(seed, epoch). They
+    depend on the seed alone, so every k of a sweep can share them."""
+    return [shuffle(corpus, epoch_shuffle_seed(seed, epoch)) for epoch in range(epochs)]
 
-    The epoch's shuffle is stable-sorted by (src_len, tgt_len) within
-    consecutive blocks of m*k pairs (partial_sort), m pairs (unsorted) or the
-    whole epoch (full_sort). Blocks are clamped to the corpus size.
+
+def epoch_order(shuffled: Corpus, config: BatchPlanConfig) -> Corpus:
+    """One epoch's shuffle in the order the epoch emits it under a policy.
+
+    The shuffle is stable-sorted by (src_len, tgt_len) within consecutive
+    blocks of m*k pairs (partial_sort), m pairs (unsorted) or the whole
+    epoch (full_sort). Blocks are clamped to the corpus size.
     """
-    shuffled = shuffle(corpus, epoch_shuffle_seed(config.seed, epoch))
     n = len(shuffled)
     block = n if config.policy == FULL_SORT else min(config.m * config.k, n)
     # Each column in its narrowest unsigned type: 16 bits or fewer radix-sort.
@@ -209,19 +217,28 @@ def epoch_order(corpus: Corpus, config: BatchPlanConfig, epoch: int) -> Corpus:
     return shuffled.take(order)
 
 
-def run_epochs(corpus: Corpus, config: BatchPlanConfig) -> BatchStream:
+def run_epochs(
+    corpus: Corpus, config: BatchPlanConfig, shuffles: Sequence[Corpus] | None = None
+) -> BatchStream:
     """Concatenated batch stream of all configured epochs.
 
-    Each epoch's order is cut into batches of m. A final short batch is
-    emitted unless drop_last is set, in which case it is discarded.
+    shuffles holds each epoch's shuffle of corpus, as epoch_shuffles(corpus,
+    config.seed, config.epochs) makes them when it is None; a sweep passes
+    the ones it made once for all k of a seed. Each epoch's order is cut into
+    batches of m. A final short batch is emitted unless drop_last is set, in
+    which case it is discarded.
     """
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot batch an empty corpus")
     if config.drop_last and config.m > n:
         raise ValueError(f"batch size {config.m} exceeds corpus size {n} with drop_last")
+    if shuffles is None:
+        shuffles = epoch_shuffles(corpus, config.seed, config.epochs)
+    if len(shuffles) != config.epochs or any(len(shuffled) != n for shuffled in shuffles):
+        raise ValueError(f"need {config.epochs} epoch shuffles of {n} pairs each")
     stop = n - n % config.m if config.drop_last else n
-    orders = [epoch_order(corpus, config, epoch) for epoch in range(config.epochs)]
+    orders = [epoch_order(shuffled, config) for shuffled in shuffles]
     columns = [(order.ids[:stop], order.src[:stop], order.tgt[:stop]) for order in orders]
     ids, src, tgt = columns[0] if config.epochs == 1 else map(np.concatenate, zip(*columns))
     per_epoch = np.arange(0, stop, min(config.m, n))  # an m above n gives one batch

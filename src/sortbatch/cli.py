@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .batcher import BatchPlanConfig, config_for_k, run_epochs, write_batches_jsonl
+from .batcher import BatchPlanConfig, config_for_k, epoch_shuffles, run_epochs, write_batches_jsonl
 from .corpus import (
     CORPUS_FORMATS,
     LENGTH_DISTS,
@@ -116,6 +116,14 @@ class SweepSpec:
         labels = [str(k) for k in self.k_values]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate k values: {labels}")
+        self.configs()  # BatchPlanConfig refuses a bad m, epochs or seed before any input is read
+
+    def configs(self) -> dict[tuple[int | str, int], BatchPlanConfig]:
+        """The BatchPlanConfig of each (k, seed) cell, k outer, as config_for_k builds it."""
+        settings = dict(m=self.m, drop_last=self.drop_last, epochs=self.epochs)
+        return {
+            (k, seed): config_for_k(k, seed=seed, **settings) for k in self.k_values for seed in self.seeds
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +155,11 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
       corpus.tsv, sweep.json, comparison.csv, comparison.md,
       run_k{label}_seed{seed}/{report.json, batches.jsonl, iid.json}
 
+    Seeds are the outer loop and k the inner: each seed's epoch shuffles
+    are made once (batcher.epoch_shuffles), passed to run_epochs for every k,
+    and dropped before the next seed's are made. A cell's files do not
+    depend on that order, and the reports are returned k outer, seeds inner.
+
     Deterministic for a fixed spec. out_dir holds one sweep: it is written to
     a hidden sibling, .{name}.{pid}.tmp, that replaces out_dir whole once
     complete, so a failed call leaves out_dir as it was. FileExistsError
@@ -174,12 +187,15 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
             json.dumps(_sweep_record(spec, digest), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-        settings = dict(m=spec.m, drop_last=spec.drop_last, epochs=spec.epochs)
-        reports = [
-            _run_cell(corpus, config_for_k(k, seed=seed, **settings), digest, stage / f"run_k{k}_seed{seed}")
-            for k in spec.k_values
-            for seed in spec.seeds
-        ]
+        configs = spec.configs()
+        cell_reports = {}
+        for seed in spec.seeds:
+            shuffles = epoch_shuffles(corpus, seed, spec.epochs)
+            for k in spec.k_values:
+                run_dir = stage / f"run_k{k}_seed{seed}"
+                cell_reports[k, seed] = _run_cell(corpus, configs[k, seed], shuffles, digest, run_dir)
+            del shuffles  # one seed's shuffles at a time: freed before the next seed makes its own
+        reports = [cell_reports[cell] for cell in configs]
         comparison = compare_costs(reports)
         for name, render in (("comparison.csv", comparison_to_csv), ("comparison.md", comparison_to_markdown)):
             with open(stage / name, "w", encoding="utf-8") as handle:
@@ -190,11 +206,13 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _run_cell(corpus: Corpus, config: BatchPlanConfig, digest: str, run_dir: Path) -> RunReport:
+def _run_cell(
+    corpus: Corpus, config: BatchPlanConfig, shuffles: list[Corpus], digest: str, run_dir: Path
+) -> RunReport:
     """Batch one (k, seed) cell and write its three files into run_dir. The
     stream is freed on return, before the next cell allocates its own."""
     run_dir.mkdir()
-    batches = run_epochs(corpus, config)
+    batches = run_epochs(corpus, config, shuffles)
     report = summarize_run(batches, config, corpus_hash=digest)
     write_report_json(report, run_dir / "report.json")
     write_batches_jsonl(batches, run_dir / "batches.jsonl")

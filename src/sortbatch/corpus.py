@@ -122,8 +122,10 @@ class Corpus:
     @cached_property
     def lengths_tsv(self) -> str:
         """Canonical interchange serialization: one `src_len\\ttgt_len` line per pair."""
-        interleaved = np.column_stack((self.src, self.tgt)).ravel().tolist()
-        return ("%d\t%d\n" * len(self)) % tuple(interleaved)
+        n = len(self)
+        tab, newline = (np.full((n, 1), ord(c), dtype=np.uint8) for c in "\t\n")
+        text = np.concatenate((_decimal_digits(self.src)[0], tab, _decimal_digits(self.tgt)[0], newline), axis=1)
+        return text.tobytes().translate(None, b"\0").decode("ascii")
 
     @cached_property
     def id_text(self) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +243,10 @@ def _plain_lengths(text: str) -> np.ndarray | None:
     data = np.frombuffer(text.removesuffix("\n").encode("utf-8"), dtype=np.uint8)
     separators = np.flatnonzero((data < ord("0")) | (data > ord("9")))
     digits = np.diff(separators, prepend=-1, append=len(data)) - 1
-    tab_newline = np.resize(np.array([ord("\t"), ord("\n")], dtype=np.uint8), len(separators))
-    alternating = len(separators) % 2 == 1 and (data[separators] == tab_newline).all()
+    ends = data[separators]
+    alternating = (
+        len(separators) % 2 == 1 and (ends[0::2] == ord("\t")).all() and (ends[1::2] == ord("\n")).all()
+    )
     if not alternating or not 1 <= digits.min() <= digits.max() <= 18:
         return None
     return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
@@ -289,19 +293,29 @@ def id_text_table(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if ids.min(initial=0) < 0:
         raise ValueError(f"ids must be >= 0, got {ids.min()}")
-    top = int(ids.max(initial=0))
-    magnitude = ids.astype(np.min_scalar_type(top))  # narrower types divide faster
-    digits = len(str(top))
-    text = np.zeros((len(ids), digits + 2), dtype=np.uint8)
+    digits, lengths = _decimal_digits(ids)
+    text = np.zeros((len(ids), digits.shape[1] + 2), dtype=np.uint8)
+    text[:, :-2] = digits
     text[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
-    lengths = np.full(len(ids), 2, dtype=np.uint8)
-    for column in range(digits - 1, -1, -1):
-        shown = (magnitude > 0) | (column == digits - 1)
+    return text.view(f"S{text.shape[1]}").ravel(), lengths + 2
+
+
+def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal text of each value >= 0 as one uint8 row, ASCII digits
+    right-aligned with NUL for leading zeros, as wide as the largest value;
+    and the number of digits of each value as uint8."""
+    top = int(values.max(initial=0))
+    magnitude = values.astype(np.min_scalar_type(top))  # narrower types divide faster
+    width = len(str(top))
+    digits = np.zeros((len(values), width), dtype=np.uint8)
+    counts = np.zeros(len(values), dtype=np.uint8)
+    for column in range(width - 1, -1, -1):
+        shown = (magnitude > 0) | (column == width - 1)
         quotient = magnitude // 10
-        text[:, column] = np.where(shown, magnitude - quotient * 10 + ord("0"), 0)
-        lengths += shown
+        digits[:, column] = np.where(shown, magnitude - quotient * 10 + ord("0"), 0)
+        counts += shown
         magnitude = quotient
-    return text.view(f"S{text.shape[1]}").ravel(), lengths
+    return digits, counts
 
 
 def corpus_hash(corpus: Corpus) -> str:

@@ -19,6 +19,7 @@ from sortbatch.batcher import (
     batch_record,
     epoch_order,
     epoch_shuffle_seed,
+    epoch_shuffles,
     read_batches_jsonl,
     run_epochs,
     write_batches_jsonl,
@@ -73,7 +74,8 @@ def test_new_loader_rejects_drop_last_larger_than_corpus():
 
 def test_refill_sorts_buffer():
     corpus = make_corpus([(5, 5), (1, 1), (3, 3), (2, 2)])
-    order = epoch_order(corpus, BatchPlanConfig(m=2, k=2), 0)  # one block of m*k = n
+    config = BatchPlanConfig(m=2, k=2)  # one block of m*k = n
+    order = epoch_order(shuffle(corpus, epoch_shuffle_seed(0, 0)), config)
     assert [(p.src_len, p.tgt_len) for p in order] == [(1, 1), (2, 2), (3, 3), (5, 5)]
 
 
@@ -81,12 +83,13 @@ def test_refill_sort_is_stable_on_ties():
     corpus = Corpus([0, 1, 2], [3, 3, 1], [1, 1, 1])
     config = BatchPlanConfig(m=3, k=1, seed=5)  # this seed shuffles id 1 ahead of id 0
     shuffled = [p.id for p in shuffle(corpus, epoch_shuffle_seed(5, 0)).pairs]
-    assert [p.id for p in epoch_order(corpus, config, 0)] == [2] + [i for i in shuffled if i != 2]
+    order = epoch_order(shuffle(corpus, epoch_shuffle_seed(5, 0)), config)
+    assert [p.id for p in order] == [2] + [i for i in shuffled if i != 2]
 
 
 def test_refill_sorts_by_target_on_equal_source():
     corpus = make_corpus([(2, 9), (2, 1), (2, 5)])
-    order = epoch_order(corpus, BatchPlanConfig(m=3, k=1), 0)
+    order = epoch_order(shuffle(corpus, epoch_shuffle_seed(0, 0)), BatchPlanConfig(m=3, k=1))
     assert [p.tgt_len for p in order] == [1, 5, 9]
 
 
@@ -143,6 +146,21 @@ def test_replay_bit_identical():
     )
 
 
+def test_run_epochs_batches_the_shuffles_it_is_given():
+    """Given shuffles stand in for the ones run_epochs makes itself, epoch by
+    epoch; a wrong number of them, or one of another size, is refused."""
+    corpus = make_corpus([(i % 7 + 1, i % 5 + 1) for i in range(30)])
+    config = BatchPlanConfig(m=4, k=3, seed=11, epochs=2)
+    shuffles = epoch_shuffles(corpus, 11, 2)
+    made = stream_signature(run_epochs(corpus, config))
+    assert stream_signature(run_epochs(corpus, config, shuffles)) == made
+    swapped = stream_signature(run_epochs(corpus, config, shuffles[::-1]))
+    assert [row[1:] for row in swapped] == [row[1:] for row in made[8:] + made[:8]]
+    for wrong in (shuffles[:1], [shuffles[0], make_corpus(range(1, 30))]):
+        with pytest.raises(ValueError, match="need 2 epoch shuffles of 30 pairs each"):
+            run_epochs(corpus, config, wrong)
+
+
 def test_epochs_reshuffle_but_replay():
     corpus = make_corpus([(i % 9 + 1, i % 9 + 1) for i in range(24)])
     config = BatchPlanConfig(m=4, k=1, policy=UNSORTED, seed=3, epochs=2)
@@ -194,7 +212,7 @@ def test_epoch_order_matches_shuffle_permutation():
             for start in range(0, 14, block)
             for pair in sorted(shuffled[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
         ]
-        assert epoch_order(corpus, config, 1).pairs == tuple(expected)
+        assert epoch_order(shuffle(corpus, epoch_shuffle_seed(4, 1)), config).pairs == tuple(expected)
 
 
 INT64_MAX = 2**63 - 1
@@ -219,7 +237,7 @@ def test_epoch_order_is_lexsort_block_sort_at_any_length(lengths):
             start + np.lexsort((shuffled.tgt[start : start + block], shuffled.src[start : start + block]))
             for start in range(0, 60, block)
         ]
-        assert epoch_order(corpus, config, 0).ids.tolist() == shuffled.ids[np.concatenate(expected)].tolist()
+        assert epoch_order(shuffled, config).ids.tolist() == shuffled.ids[np.concatenate(expected)].tolist()
 
 
 @pytest.mark.parametrize(
@@ -250,7 +268,7 @@ def test_epoch_order_sorts_blocks_across_length_widths(src_lengths, tgt_lengths)
             for pair in sorted(shuffled[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
         ]
         config = BatchPlanConfig(m=3, k=k, policy=policy, seed=5)
-        assert epoch_order(corpus, config, 0).pairs == tuple(expected)
+        assert epoch_order(shuffle(corpus, epoch_shuffle_seed(5, 0)), config).pairs == tuple(expected)
 
 
 # ---------------------------------------------------------------------------

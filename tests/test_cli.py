@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from sortbatch import cli
+from sortbatch import batcher, cli
 from sortbatch.batcher import BatchPlanConfig, config_for_k, k_label
 from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, main, run_sweep
 from sortbatch.corpus import SentencePair, SynthParams, load_corpus
@@ -278,6 +278,42 @@ def test_simulate_duplicate_seeds_is_data_error(corpus_file, tmp_path, capsys):
     assert code == EXIT_DATA
     assert "duplicate seeds" in err
     assert list(tmp_path.iterdir()) == [corpus_file]
+
+
+@pytest.mark.parametrize("flags", [["--m", "0"], ["--epochs", "0"], ["--seeds", "1", "-1"]])
+@pytest.mark.parametrize("source", ["corpus", "synth"])
+def test_simulate_bad_setting_exits_before_reading_input(
+    flags, source, corpus_file, tmp_path, capsys, monkeypatch
+):
+    """BatchPlanConfig's checks run when the sweep is specified: nothing is
+    read or synthesised, hashed, or created under --out."""
+    def refuse(*args):
+        raise AssertionError("input read before the settings were checked")
+
+    for name in ("load_corpus", "synth_generate", "corpus_hash"):
+        monkeypatch.setattr(cli, name, refuse)
+    given = ["--corpus", str(corpus_file)] if source == "corpus" else GEN_FLAGS
+    out = tmp_path / "missing" / "dir"
+    code, _, err = run(["simulate", *given, "--k", "1", "all", "--m", "4", *flags, "--out", str(out)], capsys)
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and ">= " in err
+    assert list(tmp_path.iterdir()) == [corpus_file]
+
+
+def test_sweep_shuffles_once_per_seed_and_epoch(corpus_file, tmp_path, monkeypatch):
+    """Every k of a seed batches the same epoch shuffles: 2 seeds x 2 epochs
+    is 4 shuffles, not one per (k, seed, epoch)."""
+    calls = []
+    real = batcher.shuffle
+
+    def counted(corpus, seed):
+        calls.append(seed)
+        return real(corpus, seed)
+
+    monkeypatch.setattr(batcher, "shuffle", counted)
+    common = dict(m=4, k_values=(1, 3, "all"), seeds=(0, 1), epochs=2)
+    run_sweep(SweepSpec(out_dir=tmp_path / "sweep", corpus_path=corpus_file, **common))
+    assert sorted(calls) == sorted(batcher.epoch_shuffle_seed(seed, epoch) for seed in (0, 1) for epoch in (0, 1))
 
 
 def test_simulate_cleans_up_on_failure(corpus_file, tmp_path, capsys):

@@ -157,6 +157,7 @@ def test_load_rejects_non_integer(tmp_path):
     [
         ("3\t4\n\n", 2),
         ("3\n4\t5\n", 1),
+        ("3\n4\t5\t6\n", 1),  # an odd separator count, newline before tab
         ("\t3\n", 1),
         ("3\t\n", 1),
         ("1\t2\n3\t4\t5\n6\t7\n", 2),
@@ -482,9 +483,20 @@ def test_ndtri_endpoints():
     assert _ndtr([-math.inf, 0.0, math.inf]).tolist() == [0.0, 0.5, 1.0]
 
 
-def test_lengths_tsv_text_shape():
-    corpus = make_corpus([(3, 4), (1, 1)])
-    assert corpus.lengths_tsv == "3\t4\n1\t1\n"
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(3, 4), (1, 1)],
+        [(9, 10), (10, 9), (99, 100), (100, 99)],  # each side crosses a decimal width
+        [(1, 2**32), (2**32, 1), (2**32 - 1, 2**32 + 1)],
+        [(2**63 - 1, 1), (1, 2**63 - 1), (2**63 - 1, 2**63 - 1)],  # the int64 maximum
+        [(5, 123456), (123456, 5), (77, 7)],  # sides of different widths
+        [],
+    ],
+    ids=["plain", "decimal_widths", "2**32", "int64_max", "mixed_widths", "empty"],
+)
+def test_lengths_tsv_text_shape(rows):
+    assert make_corpus(rows).lengths_tsv == "".join(f"{s}\t{t}\n" for s, t in rows)
 
 
 def test_default_family_is_lognormal():
