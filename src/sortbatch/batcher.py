@@ -206,6 +206,8 @@ def epoch_order(shuffled: Corpus, config: BatchPlanConfig) -> Corpus:
     epoch (full_sort). Blocks are clamped to the corpus size.
     """
     n = len(shuffled)
+    if n == 0:
+        raise ValueError("cannot order an empty epoch")
     block = n if config.policy == FULL_SORT else min(config.m * config.k, n)
     # Each column in its narrowest unsigned type: 16 bits or fewer radix-sort.
     src, tgt = (c.astype(np.min_scalar_type(int(c.max()))) for c in (shuffled.src, shuffled.tgt))

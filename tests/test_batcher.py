@@ -60,6 +60,8 @@ def test_config_rejects_look_ahead_outside_partial_sort(policy):
 def test_new_loader_rejects_empty_corpus():
     with pytest.raises(ValueError, match="empty corpus"):
         run_epochs(Corpus((), (), ()), BatchPlanConfig(m=2))
+    with pytest.raises(ValueError, match="empty epoch"):
+        epoch_order(Corpus((), (), ()), BatchPlanConfig(m=2))
 
 
 def test_new_loader_rejects_drop_last_larger_than_corpus():
