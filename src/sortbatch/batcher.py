@@ -107,12 +107,14 @@ class Batch:
 
 @dataclass(frozen=True, eq=False)
 class BatchStream(Sequence[Batch]):
-    """A run's batches as int64 columns, in the order they are emitted.
+    """A run's batches as integer columns, in the order they are emitted.
 
     The pairs of all batches lie end to end in ids/src/tgt; batch b holds the
     rows from starts[b] up to the next start (the last batch, up to the end).
-    Per batch: padded_src/padded_tgt are the member maxima, epoch and
-    iteration its position. corpus is the corpus the pairs were cut from
+    ids are int64, and src/tgt keep the dtypes of the corpus columns they
+    were gathered from, so sums over them are taken in int64 (length_sums).
+    Per batch, in int64: padded_src/padded_tgt are the member maxima, epoch
+    and iteration its position. corpus is the corpus the pairs were cut from
     (run_epochs sets it): each id is a row of it, so write_batches_jsonl
     gathers the text of the ids from its cached corpus.id_text. Indexing and
     iteration build Batch views whose pairs are SentencePair values made on
@@ -145,6 +147,11 @@ class BatchStream(Sequence[Batch]):
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.starts, append=len(self.ids))
+
+    @property
+    def length_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The src and the tgt lengths of each batch summed, in int64 whatever the column dtypes."""
+        return tuple(np.add.reduceat(side, self.starts, dtype=np.int64) for side in (self.src, self.tgt))
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -209,8 +216,8 @@ def epoch_order(shuffled: Corpus, config: BatchPlanConfig) -> Corpus:
     if n == 0:
         raise ValueError("cannot order an empty epoch")
     block = n if config.policy == FULL_SORT else min(config.m * config.k, n)
-    # Each column in its narrowest unsigned type: 16 bits or fewer radix-sort.
-    src, tgt = (c.astype(np.min_scalar_type(int(c.max()))) for c in (shuffled.src, shuffled.tgt))
+    # Corpus length columns are in their narrowest unsigned type: 16 bits or fewer radix-sort.
+    src, tgt = shuffled.src, shuffled.tgt
     full = n - n % block
     # One row per whole block, each sorted on its own; the short tail is the last block.
     head = np.lexsort((tgt[:full].reshape(-1, block), src[:full].reshape(-1, block)))
@@ -250,8 +257,8 @@ def run_epochs(
         src=src,
         tgt=tgt,
         starts=starts,
-        padded_src=np.maximum.reduceat(src, starts),
-        padded_tgt=np.maximum.reduceat(tgt, starts),
+        padded_src=np.maximum.reduceat(src, starts).astype(np.int64),
+        padded_tgt=np.maximum.reduceat(tgt, starts).astype(np.int64),
         epoch=np.repeat(np.arange(config.epochs), len(per_epoch)),
         iteration=np.tile(np.arange(len(per_epoch)), config.epochs),
         corpus=corpus,

@@ -1,8 +1,12 @@
 """Paired-length corpora: loading, filtering, shuffling, statistics, and synthesis.
 
-A corpus is a set of int64 columns (pair ids, source lengths, target lengths)
-with one row per sentence pair; no sentence text is kept. Lengths are
-whitespace-token counts (parallel-tsv) or precomputed integers (lengths-tsv).
+A corpus is a set of integer columns (pair ids, source lengths, target
+lengths) with one row per sentence pair; no sentence text is kept. Lengths
+are whitespace-token counts (parallel-tsv) or precomputed integers
+(lengths-tsv). Ids are int64; each length column is narrowed once, when the
+Corpus is built, to the smallest unsigned type that holds its maximum, and
+every sum or product over lengths is taken in int64. A lengths-tsv file that
+is already canonical is kept as the corpus's lengths_tsv text.
 A pair's id is its line in the corpus it was loaded or synthesised from,
 counted from 0, so the ids of n pairs are a permutation of 0..n-1.
 A corpus holds those three columns only: filter_max_len returns a plain
@@ -78,14 +82,19 @@ class SentencePair:
 
 
 class Corpus:
-    """Paired lengths as read-only int64 columns: row r is one pair, ids[r], src[r], tgt[r].
+    """Paired lengths as read-only columns: row r is one pair, ids[r], src[r], tgt[r].
 
     The ids of n pairs are a permutation of 0..n-1 (id i is line i of the
-    corpus file) and lengths are >= 1. Each column must hold integers; a
-    float or bool column is refused rather than cast. `pairs`, a
-    SentencePair view, `lengths_tsv`, the canonical text, and `id_text`, the
-    text of each id, are built on first use. Int64 array columns are used
-    without a copy, so the caller must not write to them afterwards.
+    corpus file) and lengths are in [1, int64 maximum]. Each column must hold
+    integers; a float or bool column is refused rather than cast. The values
+    are checked in the dtypes given, before any cast; then ids are stored as
+    int64 and src and tgt each in the smallest unsigned type of its maximum
+    (`np.min_scalar_type`, uint8 for lengths up to 255), so a gather or sort
+    of a length column moves no more bytes than its values need. Sums and
+    products of lengths are taken in int64. `pairs`, a SentencePair view,
+    `lengths_tsv`, the canonical text, and `id_text`, the text of each id,
+    are built on first use. A column already in its stored dtype is used
+    without a copy, so the caller must not write to it afterwards.
     """
 
     def __init__(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike) -> None:
@@ -93,26 +102,31 @@ class Corpus:
         for name, column in columns.items():
             if column.size and column.dtype.kind not in "iu":  # an empty column has no values to lose
                 raise ValueError(f"corpus column {name} must hold integers, got dtype {column.dtype}")
-        self.ids, self.src, self.tgt = (c.astype(np.int64, copy=False).view() for c in columns.values())
-        for column in (self.ids, self.src, self.tgt):
-            column.setflags(write=False)
-        n = len(self.ids)
-        shapes = {self.ids.shape, self.src.shape, self.tgt.shape}
-        if shapes != {(n,)}:
+        ids, src, tgt = columns.values()
+        n = len(ids) if ids.ndim == 1 else -1
+        if {ids.shape, src.shape, tgt.shape} != {(n,)}:
             raise ValueError("corpus columns must be one-dimensional and of equal length")
-        short = np.flatnonzero((self.src < 1) | (self.tgt < 1))
-        if short.size:
-            i, s, t = self.ids[short[0]], self.src[short[0]], self.tgt[short[0]]
-            raise ValueError(f"pair {i}: lengths must be >= 1, got ({s}, {t})")
+        low = min(int(src.min(initial=1)), int(tgt.min(initial=1)))
+        tops = int(src.max(initial=1)), int(tgt.max(initial=1))
+        if low < 1:
+            bad = np.flatnonzero((src < 1) | (tgt < 1))[0]
+            raise ValueError(f"pair {ids[bad]}: lengths must be >= 1, got ({src[bad]}, {tgt[bad]})")
+        if max(tops) > _MAX_LENGTH:
+            bad = np.flatnonzero((src > _MAX_LENGTH) | (tgt > _MAX_LENGTH))[0]
+            raise ValueError(f"pair {ids[bad]}: lengths must be <= {_MAX_LENGTH}, got ({src[bad]}, {tgt[bad]})")
         seen = np.zeros(n, dtype=bool)
-        if n and 0 <= self.ids.min() and self.ids.max() < n:  # a negative index would wrap
-            seen[self.ids] = True
+        if n and 0 <= ids.min() and ids.max() < n:  # a negative index would wrap
+            seen[ids] = True
         if not seen.all():
             raise ValueError(f"corpus pair ids must be distinct and in [0, {n}): the lines of the corpus")
+        self.ids = ids.astype(np.int64, copy=False).view()
+        self.src, self.tgt = (c.astype(np.min_scalar_type(top), copy=False).view() for c, top in zip((src, tgt), tops))
+        for column in (self.ids, self.src, self.tgt):
+            column.setflags(write=False)
 
     def take(self, rows: ArrayLike) -> Corpus:
         """The pairs in the order of rows, a permutation of range(len(self))."""
-        return Corpus(self.ids[rows], self.src[rows], self.tgt[rows])
+        return Corpus(self.ids.take(rows), self.src.take(rows), self.tgt.take(rows))
 
     @cached_property
     def pairs(self) -> tuple[SentencePair, ...]:
@@ -121,7 +135,9 @@ class Corpus:
 
     @cached_property
     def lengths_tsv(self) -> str:
-        """Canonical interchange serialization: one `src_len\\ttgt_len` line per pair."""
+        """Canonical interchange serialization: one `src_len\\ttgt_len` line per
+        pair. load_corpus sets it to the file's own text when that text is
+        already canonical."""
         n = len(self)
         tab, newline = (np.full((n, 1), ord(c), dtype=np.uint8) for c in "\t\n")
         text = np.concatenate((_decimal_digits(self.src)[0], tab, _decimal_digits(self.tgt)[0], newline), axis=1)
@@ -130,7 +146,7 @@ class Corpus:
     @cached_property
     def id_text(self) -> tuple[np.ndarray, np.ndarray]:
         """`id_text_table` of the ids 0..n-1, so that row i is the text of id i."""
-        table = id_text_table(np.arange(len(self)))
+        table = _id_text(*_counting_digits(len(self)))
         for column in table:
             column.setflags(write=False)
         return table
@@ -223,9 +239,13 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
         raise ValueError(f"unknown corpus format {fmt!r}, expected one of {CORPUS_FORMATS}")
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    lengths = _plain_lengths(text) if fmt == LENGTHS_TSV else None
-    if lengths is not None and lengths.min() >= 1:
-        return Corpus(np.arange(len(lengths)), lengths[:, 0], lengths[:, 1])
+    plain = _plain_lengths(text) if fmt == LENGTHS_TSV else None
+    if plain is not None and plain[0].min() >= 1:
+        lengths, canonical = plain
+        corpus = Corpus(np.arange(len(lengths)), lengths[:, 0], lengths[:, 1])
+        if canonical:  # the file is already the text lengths_tsv would render
+            corpus.__dict__["lengths_tsv"] = text
+        return corpus
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -236,10 +256,11 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
     return Corpus(np.arange(len(rows)), src, tgt)
 
 
-def _plain_lengths(text: str) -> np.ndarray | None:
+def _plain_lengths(text: str) -> tuple[np.ndarray, bool] | None:
     """The (n, 2) lengths of a lengths-tsv text in which every line is two
-    ASCII integers of 1 to 18 digits joined by one tab; None for any other
-    text, which the per-line path then reads or rejects."""
+    ASCII integers of 1 to 18 digits joined by one tab, and whether the text
+    is canonical: it ends with a newline and no integer has a leading zero.
+    None for any other text, which the per-line path then reads or rejects."""
     data = np.frombuffer(text.removesuffix("\n").encode("utf-8"), dtype=np.uint8)
     separators = np.flatnonzero((data < ord("0")) | (data > ord("9")))
     digits = np.diff(separators, prepend=-1, append=len(data)) - 1
@@ -249,7 +270,10 @@ def _plain_lengths(text: str) -> np.ndarray | None:
     )
     if not alternating or not 1 <= digits.min() <= digits.max() <= 18:
         return None
-    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+    # Each integer starts the text or follows a separator.
+    leading_zero = data[0] == ord("0") or (data[separators + 1] == ord("0")).any()
+    canonical = text.endswith("\n") and not leading_zero
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2), canonical
 
 
 def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple[int, int]:
@@ -293,11 +317,15 @@ def id_text_table(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if ids.min(initial=0) < 0:
         raise ValueError(f"ids must be >= 0, got {ids.min()}")
-    digits, lengths = _decimal_digits(ids)
-    text = np.zeros((len(ids), digits.shape[1] + 2), dtype=np.uint8)
+    return _id_text(*_decimal_digits(ids))
+
+
+def _id_text(digits: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The id-text table of ids with the given digit rows and digit counts."""
+    text = np.zeros((len(digits), digits.shape[1] + 2), dtype=np.uint8)
     text[:, :-2] = digits
     text[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
-    return text.view(f"S{text.shape[1]}").ravel(), lengths + 2
+    return text.view(f"S{text.shape[1]}").ravel(), counts + 2
 
 
 def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,7 +333,7 @@ def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     right-aligned with NUL for leading zeros, as wide as the largest value;
     and the number of digits of each value as uint8."""
     top = int(values.max(initial=0))
-    magnitude = values.astype(np.min_scalar_type(top))  # narrower types divide faster
+    magnitude = values.astype(np.min_scalar_type(top), copy=False)  # narrower types divide faster
     width = len(str(top))
     digits = np.zeros((len(values), width), dtype=np.uint8)
     counts = np.zeros(len(values), dtype=np.uint8)
@@ -315,6 +343,25 @@ def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         digits[:, column] = np.where(shown, magnitude - quotient * 10 + ord("0"), 0)
         counts += shown
         magnitude = quotient
+    return digits, counts
+
+
+def _counting_digits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_decimal_digits(np.arange(n)) without a division: at place j the
+    digits of 0..n-1 run through '0'..'9', each repeated 10**j times, so each
+    column is one tiled run, NUL where the place is a leading zero."""
+    top = max(n - 1, 0)
+    width = len(str(top))
+    digits = np.zeros((n, width), dtype=np.uint8)
+    counts = np.ones(n, dtype=np.uint8)
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for place in range(width):
+        step = 10**place
+        run = np.repeat(ascii_digits[: top // step + 1], step)  # at most 10 digits, the ones 0..top reach
+        digits[:, width - 1 - place] = np.tile(run, -(-n // len(run)))[:n]
+        if place:
+            digits[:step, width - 1 - place] = 0
+            counts[step:] += 1
     return digits, counts
 
 
@@ -362,7 +409,7 @@ def compute_stats(corpus: Corpus) -> LengthStats:
         mean_tgt=float(tgt.mean()),
         std_tgt=float(tgt.std()),
         max_tgt=int(tgt.max()),
-        mean_pairwise_abs_diff=float(np.abs(src - tgt).mean()),
+        mean_pairwise_abs_diff=float(np.abs(np.subtract(src, tgt, dtype=np.int64)).mean()),
         histogram_src=_histogram(src),
         histogram_tgt=_histogram(tgt),
     )

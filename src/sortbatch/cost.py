@@ -104,7 +104,7 @@ def _cost_columns(stream: BatchStream) -> dict[str, np.ndarray]:
     bound = int(size.max()) * (int(padded_src.max()) ** 2 + int(padded_tgt.max()) ** 2)
     if bound > np.iinfo(np.int64).max:
         raise ValueError(f"lengths too large: a batch cost of up to {bound} does not fit in int64")
-    useful_src, useful_tgt = (np.add.reduceat(side, stream.starts) for side in (stream.src, stream.tgt))
+    useful_src, useful_tgt = stream.length_sums
     total_src, total_tgt = size * padded_src, size * padded_tgt
     return dict(
         size=size,

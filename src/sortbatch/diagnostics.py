@@ -30,8 +30,8 @@ from .batcher import PARTIAL_SORT, Batch, BatchPlanConfig, BatchStream
 METRICS: dict[str, Callable[[BatchStream], np.ndarray]] = {
     "padded_src": lambda s: s.padded_src,
     "padded_tgt": lambda s: s.padded_tgt,
-    "mean_src": lambda s: np.add.reduceat(s.src, s.starts) / s.sizes,
-    "mean_tgt": lambda s: np.add.reduceat(s.tgt, s.starts) / s.sizes,
+    "mean_src": lambda s: s.length_sums[0] / s.sizes,
+    "mean_tgt": lambda s: s.length_sums[1] / s.sizes,
     "size": lambda s: s.sizes,
 }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from sortbatch.batcher import PARTIAL_SORT, POLICIES, BatchPlanConfig
@@ -13,6 +14,15 @@ def make_corpus(lengths) -> Corpus:
     rows = [(entry, entry) if isinstance(entry, int) else entry for entry in lengths]
     src, tgt = [r[0] for r in rows], [r[1] for r in rows]
     return Corpus(range(len(rows)), src, tgt)
+
+
+def wide_byte_corpus(n: int = 640, seed: int = 0) -> Corpus:
+    """n pairs with both lengths drawn from 200..255, so each length column
+    is uint8 while a batch's length sum or squared maximum is far above 255."""
+    src, tgt = np.random.default_rng(seed).integers(200, 256, size=(2, n))
+    corpus = Corpus(np.arange(n), src, tgt)
+    assert corpus.src.dtype == corpus.tgt.dtype == np.uint8
+    return corpus
 
 
 def look_ahead(draw, policy, ks):

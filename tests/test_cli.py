@@ -4,6 +4,7 @@ import json
 import shutil
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from sortbatch import batcher, cli
@@ -167,6 +168,15 @@ def test_stats_bytes_with_and_without_limit(fmt, max_len, tmp_path, capsys):
     code, stdout, _ = run(["stats", str(path), "--format", fmt, *limit], capsys)
     assert code == EXIT_OK
     assert stdout == STATS_BYTES[fmt, max_len]
+
+
+def test_stats_limit_above_the_column_type_keeps_every_pair(corpus_file, capsys):
+    """corpus_file's lengths are 1..20, one byte each; a limit of 1000 keeps them all."""
+    assert load_corpus(corpus_file).src.dtype == np.uint8
+    code, stdout, _ = run(["stats", str(corpus_file), "--max-len", "1000", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(stdout)
+    assert (payload["n_pairs"], payload["max_len_filter"]) == (100, 1000)
 
 
 def test_stats_hist_out(corpus_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Corpus loading, filtering, shuffling, statistics, and synthesis."""
 
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from sortbatch.corpus import (
     synth_generate,
     write_lengths_tsv,
 )
+from sortbatch import corpus as corpus_module
 from sortbatch.corpus import _ndtr, _ndtri
 
 from .helpers import corpora, make_corpus
@@ -82,6 +84,16 @@ def test_id_text_rows_run_from_the_smallest_contiguous_id():
     assert not (text.flags.writeable or lengths.flags.writeable)
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 1000, 100_001, 1_000_001])
+def test_id_text_is_the_table_of_0_to_n(n):
+    ones = np.ones(n, dtype=np.uint8)
+    text, lengths = Corpus(np.arange(n), ones, ones).id_text
+    want_text, want_lengths = id_text_table(np.arange(n))
+    assert (text.dtype, lengths.dtype) == (want_text.dtype, want_lengths.dtype)
+    assert np.array_equal(text, want_text)
+    assert np.array_equal(lengths, want_lengths)
+
+
 def test_id_text_table_rejects_negative_ids():
     with pytest.raises(ValueError, match=">= 0"):
         id_text_table(np.array([3, -1, 0]))
@@ -106,7 +118,43 @@ def test_corpus_accepts_empty_and_narrow_integer_columns():
     assert len(Corpus((), (), ())) == 0
     corpus = Corpus(np.array([1, 0], dtype=np.uint8), np.array([2, 3], dtype=np.int16), [4, 5])
     assert corpus.pairs == (SentencePair(1, 2, 4), SentencePair(0, 3, 5))
-    assert {column.dtype for column in (corpus.ids, corpus.src, corpus.tgt)} == {np.dtype(np.int64)}
+    assert [column.dtype for column in (corpus.ids, corpus.src, corpus.tgt)] == [
+        np.dtype(np.int64), np.dtype(np.uint8), np.dtype(np.uint8)
+    ]
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        np.array([-1], dtype=np.int8),
+        np.array([-1], dtype=np.int16),
+        np.array([-1], dtype=np.int64),
+        np.array([0], dtype=np.int64),
+        np.array([2**63], dtype=np.uint64),
+        np.array([2**64 - 1], dtype=np.uint64),
+    ],
+    ids=["int8_minus_1", "int16_minus_1", "int64_minus_1", "zero", "uint64_2**63", "uint64_max"],
+)
+def test_corpus_refuses_lengths_outside_one_to_the_int64_maximum(lengths):
+    """Checked in the dtype given: narrowing first would store int8 -1 as 255."""
+    with pytest.raises(ValueError, match="lengths must be"):
+        Corpus([0], lengths, [1])
+    with pytest.raises(ValueError, match="lengths must be"):
+        Corpus([0], [1], lengths)
+
+
+@pytest.mark.parametrize(
+    "src, tgt, want",
+    [
+        ([1, 255], [300, 2], (np.uint8, np.uint16)),
+        ([70000], [65535], (np.uint32, np.uint16)),
+        ([2**63 - 1], np.array([1], dtype=np.int64), (np.uint64, np.uint8)),
+    ],
+)
+def test_corpus_stores_each_length_column_in_its_smallest_unsigned_type(src, tgt, want):
+    corpus = Corpus(np.arange(len(src), dtype=np.uint8), src, tgt)
+    assert (corpus.ids.dtype, corpus.src.dtype, corpus.tgt.dtype) == (np.dtype(np.int64), *map(np.dtype, want))
+    assert (corpus.src.tolist(), corpus.tgt.tolist()) == (list(src), list(tgt))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +228,39 @@ def test_load_crlf_equals_lf(tmp_path):
     lf.write_bytes(b"3\t4\n1\t1\n12\t9\n")
     crlf.write_bytes(b"3\t4\r\n1\t1\r\n12\t9\r\n")
     assert load_corpus(crlf).pairs == load_corpus(lf).pairs
+
+
+def test_canonical_file_is_its_own_lengths_tsv(tmp_path, monkeypatch):
+    text = "3\t4\n12\t1\n100\t99\n"
+    path = tmp_path / "c.tsv"
+    path.write_text(text, encoding="utf-8")
+
+    def render(values):
+        raise AssertionError("a canonical file was rendered again")
+
+    monkeypatch.setattr(corpus_module, "_decimal_digits", render)
+    corpus = load_corpus(path)
+    assert corpus.lengths_tsv == text
+    assert corpus_hash(corpus) == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "data, rendered",
+    [
+        (b"03\t4\n", "3\t4\n"),
+        (b"3\t040\n7\t1\n", "3\t40\n7\t1\n"),
+        (b"3\t4\n1\t1", "3\t4\n1\t1\n"),  # no final newline
+        (b"3\t4\r\n1\t1\r\n12\t9\r\n", "3\t4\n1\t1\n12\t9\n"),
+    ],
+    ids=["leading_zero", "leading_zero_inside", "no_final_newline", "crlf"],
+)
+def test_other_files_hash_as_their_rendered_columns(tmp_path, data, rendered):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(data)
+    corpus = load_corpus(path)
+    built = Corpus(np.arange(len(corpus)), corpus.src.tolist(), corpus.tgt.tolist())
+    assert corpus.lengths_tsv == built.lengths_tsv == rendered
+    assert corpus_hash(corpus) == corpus_hash(built)
 
 
 def test_load_rejects_length_beyond_int64(tmp_path):
@@ -286,6 +367,13 @@ def test_filter_boundary_keeps_equal_lengths():
     assert len(filter_max_len(corpus, 1)) == 3
 
 
+def test_filter_above_the_column_type_keeps_every_pair():
+    corpus = make_corpus([(3, 255), (200, 7)])
+    assert corpus.src.dtype == corpus.tgt.dtype == np.uint8
+    kept = filter_max_len(corpus, 1000)
+    assert list(zip(kept.src.tolist(), kept.tgt.tolist())) == [(3, 255), (200, 7)]
+
+
 def test_filter_rejects_bad_limit():
     with pytest.raises(ValueError):
         filter_max_len(make_corpus([1]), 0)
@@ -346,6 +434,19 @@ def test_stats_hand_computed():
 
 def test_stats_pairwise_diff():
     assert compute_stats(make_corpus([(5, 3)])).mean_pairwise_abs_diff == 2.0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 5), (2, 2), (3, 250)],  # both uint8, tgt > src
+        [(1, 5), (300, 2)],  # uint16 src, uint8 tgt
+        [(7, 70000), (2, 1)],  # uint8 src, uint32 tgt
+    ],
+)
+def test_stats_pairwise_diff_of_narrow_columns(rows):
+    want = sum(abs(s - t) for s, t in rows) / len(rows)
+    assert compute_stats(make_corpus(rows)).mean_pairwise_abs_diff == want
 
 
 def test_stats_empty_corpus_rejected():

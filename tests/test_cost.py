@@ -1,7 +1,10 @@
 """Padding-cost accounting: per-batch math, run aggregation, comparisons."""
 
+import json
 import math
 from dataclasses import replace
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from sortbatch.batcher import (
     UNSORTED,
     Batch,
     BatchPlanConfig,
+    config_for_k,
     run_epochs,
 )
 from sortbatch.corpus import SentencePair, compute_stats
@@ -29,8 +33,9 @@ from sortbatch.cost import (
     summarize_run,
     write_report_json,
 )
+from sortbatch.cost import _cost_columns
 
-from .helpers import corpus_and_config, make_corpus
+from .helpers import corpus_and_config, make_corpus, wide_byte_corpus
 
 
 def batch_of(src_lengths, tgt_lengths=None, iteration=0, epoch=0):
@@ -146,6 +151,33 @@ def test_totals_equal_per_batch_sums(case):
     assert report.total_quadratic_cost == sum(c.quadratic_cost for c in costs)
     assert report.total_cross_cost == sum(c.cross_cost for c in costs)
     assert math.isclose(report.avg_padded_src, sum(c.padded_src for c in costs) / len(costs))
+
+
+@pytest.mark.parametrize("k", [1, 3, "all"])
+def test_report_json_sums_byte_lengths_in_int64(k, tmp_path):
+    """Lengths of 200..255 are uint8 columns; their batch sums and squared
+    maxima at m=64 must not wrap."""
+    config = config_for_k(k, m=64, seed=1, epochs=2)
+    stream = run_epochs(wide_byte_corpus(), config)
+    assert (stream.src.dtype, stream.padded_src.dtype) == (np.dtype(np.uint8), np.dtype(np.int64))
+    # numpy's own add.reduceat would sum uint8 in uint64; the cost columns are int64 whatever the lengths.
+    assert {c.dtype for c in _cost_columns(stream).values() if c.dtype.kind != "f"} == {np.dtype(np.int64)}
+    batches = [[(p.src_len, p.tgt_len) for p in batch.pairs] for batch in stream]
+    tops = [(len(b), max(s for s, _ in b), max(t for _, t in b)) for b in batches]
+    want = {
+        "n_pairs": sum(len(b) for b in batches),
+        "total_useful_src": sum(s for b in batches for s, _ in b),
+        "total_useful_tgt": sum(t for b in batches for _, t in b),
+        "total_padded_src": sum(n * s for n, s, _ in tops),
+        "total_padded_tgt": sum(n * t for n, _, t in tops),
+        "total_linear_cost": sum(n * (s + t) for n, s, t in tops),
+        "total_quadratic_cost": sum(n * (s * s + t * t) for n, s, t in tops),
+        "total_cross_cost": sum(n * s * t for n, s, t in tops),
+    }
+    path = tmp_path / "report.json"
+    write_report_json(summarize_run(stream, config), path)
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert {key: written[key] for key in want} == want
 
 
 @given(corpus_and_config(max_n=36, max_m=6, max_k=4))

@@ -23,7 +23,7 @@ from sortbatch.diagnostics import (
     write_iid_report_json,
 )
 
-from .helpers import length_pairs, make_corpus
+from .helpers import length_pairs, make_corpus, wide_byte_corpus
 from .test_cost import batch_of
 
 
@@ -42,6 +42,16 @@ def test_extract_padded_src_series():
 def test_extract_mean_src():
     series = extract_series([batch_of([1, 3])], "mean_src")
     assert series.values == (2.0,)
+
+
+def test_mean_metrics_sum_byte_lengths_in_int64():
+    stream = run_epochs(wide_byte_corpus(), BatchPlanConfig(m=64, seed=2))
+    assert stream.src.dtype == stream.tgt.dtype == np.uint8
+    # numpy's own add.reduceat would sum uint8 in uint64; the sums are int64 whatever the lengths.
+    assert [sums.dtype for sums in stream.length_sums] == [np.dtype(np.int64)] * 2
+    batches = [[(p.src_len, p.tgt_len) for p in batch.pairs] for batch in stream]
+    for side, tag in enumerate(("mean_src", "mean_tgt")):
+        assert METRICS[tag](stream).tolist() == [sum(pair[side] for pair in b) / len(b) for b in batches]
 
 
 def test_extract_all_registered_metrics():
