@@ -117,8 +117,8 @@ class BatchStream(Sequence[Batch]):
     and iteration its position. corpus is the corpus the pairs were cut from
     (run_epochs sets it): each id is a row of it, so write_batches_jsonl
     gathers the text of the ids from its cached corpus.id_text. Indexing and
-    iteration build Batch views whose pairs are SentencePair values made on
-    access.
+    iteration build Batch values whose pairs, a tuple of SentencePair, are
+    made when the batch is indexed.
     """
 
     ids: np.ndarray
@@ -160,32 +160,14 @@ class BatchStream(Sequence[Batch]):
         if isinstance(index, slice):
             return [self[b] for b in range(len(self))[index]]
         b = range(len(self))[index]
-        stop = self.starts[b + 1] if b + 1 < len(self) else len(self.ids)
+        rows = slice(self.starts[b], self.starts[b + 1] if b + 1 < len(self) else len(self.ids))
         return Batch(
-            pairs=_Members(self, range(self.starts[b], stop)),
+            pairs=tuple(map(SentencePair, *(column[rows].tolist() for column in (self.ids, self.src, self.tgt)))),
             padded_src=int(self.padded_src[b]),
             padded_tgt=int(self.padded_tgt[b]),
             iteration_index=int(self.iteration[b]),
             epoch_index=int(self.epoch[b]),
         )
-
-
-class _Members(Sequence[SentencePair]):
-    """The pairs of one stream batch, made as SentencePair values on access."""
-
-    def __init__(self, stream: BatchStream, rows: range) -> None:
-        self._stream = stream
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        rows = self._rows[index]
-        if isinstance(rows, range):
-            return tuple(self[i] for i in range(len(self))[index])
-        s = self._stream
-        return SentencePair(int(s.ids[rows]), int(s.src[rows]), int(s.tgt[rows]))
 
 
 def epoch_shuffle_seed(base_seed: int, epoch: int) -> int:

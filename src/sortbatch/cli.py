@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -303,7 +304,10 @@ def _add_synth_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _synth_params(args: argparse.Namespace) -> SynthParams:
-    return SynthParams(
+    """The requested SynthParams. A std_src above the Bhatia-Davis bound
+    sqrt((mean_src - 1)(max_len - mean_src)), the largest std of lengths in
+    [1, max_len] with that mean, is refused: no corpus can match it."""
+    params = SynthParams(
         n=args.n,
         mean_src=args.mean_src,
         std_src=args.std_src,
@@ -312,6 +316,13 @@ def _synth_params(args: argparse.Namespace) -> SynthParams:
         length_dist=args.length_dist,
         seed=args.seed,
     )
+    bound = math.sqrt((params.mean_src - 1) * (params.max_len - params.mean_src))
+    if params.std_src > bound:
+        raise ValueError(
+            f"infeasible params: std_src={params.std_src} above sqrt((mean_src - 1)(max_len - mean_src))"
+            f" = {bound} for mean_src={params.mean_src}, max_len={params.max_len}"
+        )
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:

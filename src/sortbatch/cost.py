@@ -18,6 +18,9 @@ reports carry avg_definition metadata naming that convention.
 A RunReport (and its report.json) holds only these run aggregates. One batch's
 costs are cost_of_batch(stream[b]), or rebuilt from batches.jsonl and corpus.tsv.
 A comparison row's k is batcher.k_label of its config ("all" for full_sort).
+A comparison column is one _CELL_COLUMNS entry plus its ComparisonRow field:
+the entry names the RunReport field averaged over a cell's seeds and the
+ratio column, if any, that divides it by the unsorted row.
 """
 
 from __future__ import annotations
@@ -199,6 +202,19 @@ class ComparisonRow:
     ratio_quadratic: float | None = None
 
 
+#: (ComparisonRow column, the RunReport field it averages over a cell's seeds,
+#: its ComparisonRow ratio against the unsorted row or None), in csv order.
+_CELL_COLUMNS = (
+    ("avg_padded_src", "avg_padded_src", "ratio_avg_src"),
+    ("avg_padded_tgt", "avg_padded_tgt", "ratio_avg_tgt"),
+    ("waste_src", "overall_waste_src", "ratio_waste_src"),
+    ("waste_tgt", "overall_waste_tgt", "ratio_waste_tgt"),
+    ("linear_cost", "total_linear_cost", "ratio_linear"),
+    ("quadratic_cost", "total_quadratic_cost", "ratio_quadratic"),
+    ("cross_cost", "total_cross_cost", None),
+)
+
+
 @dataclass(frozen=True)
 class CostComparison:
     m: int
@@ -238,36 +254,20 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
                 f"two reports for policy={a.config.policy} k={k_label(a.config)} seed={a.config.seed}"
             )
     rows = []
-    for (_, k), group in groupby(ordered, key=_group_key):
+    for _, group in groupby(ordered, key=_group_key):
         cell = list(group)
         first = cell[0].config
-        rows.append(
-            ComparisonRow(
-                policy=first.policy,
-                k_label=k_label(first),
-                n_runs=len(cell),
-                avg_padded_src=float(np.mean([r.avg_padded_src for r in cell])),
-                avg_padded_tgt=float(np.mean([r.avg_padded_tgt for r in cell])),
-                waste_src=float(np.mean([r.overall_waste_src for r in cell])),
-                waste_tgt=float(np.mean([r.overall_waste_tgt for r in cell])),
-                linear_cost=float(np.mean([r.total_linear_cost for r in cell])),
-                quadratic_cost=float(np.mean([r.total_quadratic_cost for r in cell])),
-                cross_cost=float(np.mean([r.total_cross_cost for r in cell])),
-            )
-        )
+        means = {column: float(np.mean([getattr(r, source) for r in cell])) for column, source, _ in _CELL_COLUMNS}
+        rows.append(ComparisonRow(policy=first.policy, k_label=k_label(first), n_runs=len(cell), **means))
 
     baseline = next((row for row in rows if row.policy == UNSORTED), None)
     if baseline is not None:
         rows = [
-            replace(
-                row,
-                ratio_avg_src=_safe_ratio(row.avg_padded_src, baseline.avg_padded_src),
-                ratio_avg_tgt=_safe_ratio(row.avg_padded_tgt, baseline.avg_padded_tgt),
-                ratio_waste_src=_safe_ratio(row.waste_src, baseline.waste_src),
-                ratio_waste_tgt=_safe_ratio(row.waste_tgt, baseline.waste_tgt),
-                ratio_linear=_safe_ratio(row.linear_cost, baseline.linear_cost),
-                ratio_quadratic=_safe_ratio(row.quadratic_cost, baseline.quadratic_cost),
-            )
+            replace(row, **{
+                ratio: _safe_ratio(getattr(row, column), getattr(baseline, column))
+                for column, _, ratio in _CELL_COLUMNS
+                if ratio is not None
+            })
             for row in rows
         ]
     return CostComparison(
@@ -288,9 +288,7 @@ def _safe_ratio(value: float, base: float) -> float | None:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    d = {f.name: getattr(report, f.name) for f in fields(RunReport)}
-    d["config"] = asdict(report.config)
-    return d
+    return asdict(report)
 
 
 def _check_keys(d: object, cls: type, what: str) -> None:

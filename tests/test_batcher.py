@@ -16,6 +16,7 @@ from sortbatch.batcher import (
     UNSORTED,
     Batch,
     BatchPlanConfig,
+    BatchStream,
     batch_record,
     epoch_order,
     epoch_shuffle_seed,
@@ -133,6 +134,26 @@ def test_iteration_indices_are_sequential():
     batches = run_epochs(make_corpus(range(1, 9)), BatchPlanConfig(m=2, k=2, epochs=2))
     assert [b.iteration_index for b in batches] == [0, 1, 2, 3, 0, 1, 2, 3]
     assert [b.epoch_index for b in batches] == [0, 0, 0, 0, 1, 1, 1, 1]
+
+
+def test_stream_batches_equal_by_value_from_either_end_and_in_slices():
+    corpus = make_corpus([(5, 2), (1, 4), (3, 3), (2, 7), (4, 1)])
+    stream = run_epochs(corpus, BatchPlanConfig(m=2, k=2, epochs=2))
+    batches = list(stream)
+    assert len(batches) == 6
+    rebuilt = BatchStream.of(batches)
+    assert [rebuilt[b] for b in range(6)] == [stream[b] for b in range(6)] == batches
+    assert (stream[-1], stream[-6]) == (batches[5], batches[0])
+    assert stream[1:4] == batches[1:4]
+    assert stream[::-2] == batches[::-2]
+    assert stream[4:99] == batches[4:]
+    for index in (6, -7):
+        with pytest.raises(IndexError):
+            stream[index]
+    by_id = {pair.id: pair for pair in corpus.pairs}
+    assert [type(b.pairs) for b in batches] == [tuple] * 6
+    assert [len(b.pairs) for b in batches] == stream.sizes.tolist()
+    assert [pair for b in batches for pair in b.pairs] == [by_id[i] for i in stream.ids.tolist()]
 
 
 # ---------------------------------------------------------------------------

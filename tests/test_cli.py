@@ -75,6 +75,24 @@ def test_gen_infeasible_params_is_data_error(tmp_path, capsys):
     assert "infeasible" in err
 
 
+def test_gen_refuses_std_src_above_the_bhatia_davis_bound(tmp_path, capsys):
+    """Lengths in [1, max_len] with mean mu have a std of at most
+    sqrt((mu - 1)(max_len - mu)): 9.4868... for mean 10 in [1, 20]."""
+    out = tmp_path / "c.tsv"
+    flags = ["--n", "2000", "--mean-src", "10", "--max-len", "20", "--out", str(out)]
+    code, _, err = run(["gen", *flags, "--std-src", "15"], capsys)
+    assert code == EXIT_DATA
+    assert "infeasible" in err and "9.486832980505138" in err
+    assert not out.exists()
+    code, _, err = run(["simulate", *flags, "--std-src", "9.5", "--m", "8", "--k", "1"], capsys)
+    assert code == EXIT_DATA
+    assert "9.486832980505138" in err
+    assert not out.exists()
+    code, _, _ = run(["gen", *flags[:4], "--max-len", "19", "--out", str(out), "--std-src", "9"], capsys)
+    assert code == EXIT_OK  # at the bound: sqrt(9 * 9) for mean 10 in [1, 19]
+    assert len(load_corpus(out)) == 2000
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from sortbatch.cost import (
     summarize_run,
     write_report_json,
 )
-from sortbatch.cost import _cost_columns
+from sortbatch.cost import _CELL_COLUMNS, ComparisonRow, RunReport, _cost_columns
 
 from .helpers import corpus_and_config, make_corpus, wide_byte_corpus
 
@@ -305,6 +305,16 @@ def test_mixed_corpus_hash_rejected():
 def test_compare_rejects_empty():
     with pytest.raises(ValueError):
         compare_costs([])
+
+
+def test_cell_column_table_names_every_comparison_column_in_csv_order():
+    """The mean columns of _CELL_COLUMNS, then its ratio columns, are the
+    ComparisonRow fields after policy, k and runs; each averages a RunReport field."""
+    means = [column for column, _, _ in _CELL_COLUMNS]
+    ratios = [ratio for _, _, ratio in _CELL_COLUMNS if ratio is not None]
+    assert means + ratios == [f.name for f in fields(ComparisonRow)[3:]]
+    report_fields = {f.name for f in fields(RunReport)}
+    assert [source for _, source, _ in _CELL_COLUMNS if source not in report_fields] == []
 
 
 # ---------------------------------------------------------------------------
