@@ -391,7 +391,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise UsageError("gen requires --out")
     corpus = synth_generate(_synth_params(args))
     write_lengths_tsv(corpus, args.out)
-    print(f"wrote {len(corpus)} pairs to {args.out}")
+    stats = compute_stats(corpus)  # the moments made, which a fit that has no root misses
+    print(f"wrote {len(corpus)} pairs (src mean {stats.mean_src:.4f}, std {stats.std_src:.4f}) to {args.out}")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ import pytest
 from sortbatch import batcher, cli
 from sortbatch.batcher import BatchPlanConfig, config_for_k, k_label
 from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, main, run_sweep
-from sortbatch.corpus import SentencePair, SynthParams, load_corpus
+from sortbatch.corpus import SentencePair, SynthParams, compute_stats, load_corpus
 from sortbatch.cost import RunReport
 from sortbatch.diagnostics import write_iid_report_json
 
@@ -35,6 +35,18 @@ def test_gen_writes_requested_pairs(tmp_path, capsys):
     assert "200" in stdout
     assert len(out.read_text().splitlines()) == 200
     assert len(load_corpus(out)) == 200
+
+
+def test_gen_prints_the_src_moments_it_wrote(tmp_path, capsys):
+    """No normal truncated to [1, 1000] has mean 10.99 and std 10, so the fit
+    falls back to its start; gen says what it made (mean 13.93, std 7.92)."""
+    out = tmp_path / "c.tsv"
+    flags = ["--n", "20000", "--mean-src", "10.99", "--std-src", "10", "--max-len", "1000"]
+    code, stdout, _ = run(["gen", *flags, "--length-dist", "normal", "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    stats = compute_stats(load_corpus(out))
+    assert stdout == f"wrote 20000 pairs (src mean {stats.mean_src:.4f}, std {stats.std_src:.4f}) to {out}\n"
+    assert (f"{stats.mean_src:.4f}", f"{stats.std_src:.4f}") == ("13.9255", "7.9212")
 
 
 def test_gen_single_pair(tmp_path, capsys):

@@ -559,6 +559,26 @@ def test_synth_normal_family():
     assert abs(stats.std_src - 6.0) <= 0.2
 
 
+@pytest.mark.parametrize(
+    "params, digest",
+    [
+        (
+            SynthParams(n=500_000, seed=0, mean_src=22.64, std_src=15.55, max_len=125, pair_diff_mean=2.45),
+            "e64118171e9c69754a5360fa9d0dcd09cf2e07936f575f43fdfa2a0d1b047583",
+        ),
+        (
+            SynthParams(n=40_000, seed=0, mean_src=10.68, std_src=3.17, max_len=50, pair_diff_mean=0.006),
+            "90741c8c8ec077929021f9af66d2df88171313cfe491a1e52ac4c6135a380196",
+        ),
+    ],
+    ids=["long_tailed_500k", "short_40k"],
+)
+def test_synth_benchmark_corpora_are_pinned(params, digest):
+    """The seed-0 corpora of the two benchmark shapes, byte for byte. Unlike
+    test_synth_equivalence.py, this needs no scipy."""
+    assert corpus_hash(synth_generate(params)) == digest
+
+
 def test_synth_zero_pair_diff_copies_source():
     params = SynthParams(n=500, mean_src=15, std_src=5, max_len=60, pair_diff_mean=0.0, seed=9)
     corpus = synth_generate(params)
@@ -582,6 +602,29 @@ def test_ndtri_inverts_ndtr_from_minus_37_to_8():
 def test_ndtri_endpoints():
     assert _ndtri([0.0, 0.5, 1.0]).tolist() == [-math.inf, 0.0, math.inf]
     assert _ndtr([-math.inf, 0.0, math.inf]).tolist() == [0.0, 0.5, 1.0]
+    assert (_ndtr(np.linspace(9.0, 40.0, 3_101)) == 1.0).all()
+
+
+@pytest.mark.parametrize(
+    "function, values",
+    [
+        (_ndtr, [-38.5, -37.5, -3.0, 0.0, 0.25, 9.0]),
+        (_ndtri, [0.0, 1e-300, 0.01, 0.5, 0.975, 1.0]),
+    ],
+    ids=["ndtr", "ndtri"],
+)
+def test_normal_functions_keep_the_input_shape(function, values):
+    """_sample_src_lengths passes Python floats, _lognormal_trunc_moments a
+    list and _ndtri's callers 1-D arrays; each element is its 1-D value."""
+    flat = function(np.array(values))
+    assert flat.shape == (len(values),)
+    for value, expected in zip(values, flat):
+        for scalar in (value, np.float64(value), np.array(value)):
+            result = function(scalar)
+            assert np.shape(result) == () and result == expected
+    assert function(values).tolist() == flat.tolist()
+    grid = function(np.reshape(values, (2, 3)))
+    assert grid.shape == (2, 3) and grid.ravel().tolist() == flat.tolist()
 
 
 @pytest.mark.parametrize(
