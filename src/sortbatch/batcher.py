@@ -187,8 +187,9 @@ def epoch_shuffles(corpus: Corpus, seed: int, epochs: int) -> list[Corpus]:
     return [shuffle(corpus, epoch_shuffle_seed(seed, epoch)) for epoch in range(epochs)]
 
 
-def epoch_order(shuffled: Corpus, config: BatchPlanConfig) -> Corpus:
-    """One epoch's shuffle in the order the epoch emits it under a policy.
+def epoch_order(shuffled: Corpus, config: BatchPlanConfig) -> np.ndarray:
+    """The rows of one epoch's shuffle in the order the epoch emits them
+    under a policy, as an intp array of row indices into shuffled.
 
     The shuffle is stable-sorted by (src_len, tgt_len) within consecutive
     blocks of m*k pairs (partial_sort), m pairs (unsorted) or the whole
@@ -204,8 +205,7 @@ def epoch_order(shuffled: Corpus, config: BatchPlanConfig) -> Corpus:
     # One row per whole block, each sorted on its own; the short tail is the last block.
     head = np.lexsort((tgt[:full].reshape(-1, block), src[:full].reshape(-1, block)))
     head += np.arange(0, full, block)[:, None]
-    order = np.concatenate([head.ravel(), np.lexsort((tgt[full:], src[full:])) + full])
-    return shuffled.take(order)
+    return np.concatenate([head.ravel(), np.lexsort((tgt[full:], src[full:])) + full])
 
 
 def run_epochs(
@@ -215,9 +215,10 @@ def run_epochs(
 
     shuffles holds each epoch's shuffle of corpus, as epoch_shuffles(corpus,
     config.seed, config.epochs) makes them when it is None; a sweep passes
-    the ones it made once for all k of a seed. Each epoch's order is cut into
-    batches of m. A final short batch is emitted unless drop_last is set, in
-    which case it is discarded.
+    the ones it made once for all k of a seed. Each epoch's ids and lengths
+    are gathered from its shuffle once, in the row order epoch_order gives,
+    and cut into batches of m. A final short batch is emitted unless
+    drop_last is set, in which case it is discarded.
     """
     n = len(corpus)
     if n == 0:
@@ -229,8 +230,8 @@ def run_epochs(
     if len(shuffles) != config.epochs or any(len(shuffled) != n for shuffled in shuffles):
         raise ValueError(f"need {config.epochs} epoch shuffles of {n} pairs each")
     stop = n - n % config.m if config.drop_last else n
-    orders = [epoch_order(shuffled, config) for shuffled in shuffles]
-    columns = [(order.ids[:stop], order.src[:stop], order.tgt[:stop]) for order in orders]
+    orders = [epoch_order(shuffled, config)[:stop] for shuffled in shuffles]
+    columns = [(shuffled.ids[rows], shuffled.src[rows], shuffled.tgt[rows]) for shuffled, rows in zip(shuffles, orders)]
     ids, src, tgt = columns[0] if config.epochs == 1 else map(np.concatenate, zip(*columns))
     per_epoch = np.arange(0, stop, min(config.m, n))  # an m above n gives one batch
     starts = (stop * np.arange(config.epochs)[:, None] + per_epoch).ravel()

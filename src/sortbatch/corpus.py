@@ -124,10 +124,6 @@ class Corpus:
         for column in (self.ids, self.src, self.tgt):
             column.setflags(write=False)
 
-    def take(self, rows: ArrayLike) -> Corpus:
-        """The pairs in the order of rows, a permutation of range(len(self))."""
-        return Corpus(self.ids.take(rows), self.src.take(rows), self.tgt.take(rows))
-
     @cached_property
     def pairs(self) -> tuple[SentencePair, ...]:
         rows = zip(self.ids.tolist(), self.src.tolist(), self.tgt.tolist())
@@ -394,7 +390,7 @@ def shuffle(corpus: Corpus, seed: int) -> Corpus:
     if not len(corpus):
         raise ValueError("cannot shuffle an empty corpus")
     permutation = np.random.default_rng(seed).permutation(len(corpus))
-    return corpus.take(permutation)
+    return Corpus(corpus.ids[permutation], corpus.src[permutation], corpus.tgt[permutation])
 
 
 def compute_stats(corpus: Corpus) -> LengthStats:

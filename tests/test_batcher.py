@@ -78,22 +78,23 @@ def test_new_loader_rejects_drop_last_larger_than_corpus():
 def test_refill_sorts_buffer():
     corpus = make_corpus([(5, 5), (1, 1), (3, 3), (2, 2)])
     config = BatchPlanConfig(m=2, k=2)  # one block of m*k = n
-    order = epoch_order(shuffle(corpus, epoch_shuffle_seed(0, 0)), config)
-    assert [(p.src_len, p.tgt_len) for p in order] == [(1, 1), (2, 2), (3, 3), (5, 5)]
+    shuffled = shuffle(corpus, epoch_shuffle_seed(0, 0))
+    order = epoch_order(shuffled, config)
+    assert list(zip(shuffled.src[order].tolist(), shuffled.tgt[order].tolist())) == [(1, 1), (2, 2), (3, 3), (5, 5)]
 
 
 def test_refill_sort_is_stable_on_ties():
     corpus = Corpus([0, 1, 2], [3, 3, 1], [1, 1, 1])
     config = BatchPlanConfig(m=3, k=1, seed=5)  # this seed shuffles id 1 ahead of id 0
-    shuffled = [p.id for p in shuffle(corpus, epoch_shuffle_seed(5, 0)).pairs]
-    order = epoch_order(shuffle(corpus, epoch_shuffle_seed(5, 0)), config)
-    assert [p.id for p in order] == [2] + [i for i in shuffled if i != 2]
+    shuffled = shuffle(corpus, epoch_shuffle_seed(5, 0))
+    order = epoch_order(shuffled, config)
+    assert shuffled.ids[order].tolist() == [2] + [i for i in shuffled.ids.tolist() if i != 2]
 
 
 def test_refill_sorts_by_target_on_equal_source():
     corpus = make_corpus([(2, 9), (2, 1), (2, 5)])
-    order = epoch_order(shuffle(corpus, epoch_shuffle_seed(0, 0)), BatchPlanConfig(m=3, k=1))
-    assert [p.tgt_len for p in order] == [1, 5, 9]
+    shuffled = shuffle(corpus, epoch_shuffle_seed(0, 0))
+    assert shuffled.tgt[epoch_order(shuffled, BatchPlanConfig(m=3, k=1))].tolist() == [1, 5, 9]
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,20 @@ def test_run_epochs_batches_the_shuffles_it_is_given():
             run_epochs(corpus, config, wrong)
 
 
+@pytest.mark.parametrize("policy, k", [(UNSORTED, 1), (PARTIAL_SORT, 3), (FULL_SORT, 1)])
+def test_run_epochs_builds_no_corpus_from_given_shuffles(policy, k):
+    """Each epoch's ids and lengths are gathered from its shuffle by row
+    index: batching given shuffles builds (and so re-checks) no Corpus."""
+    corpus = make_corpus([(i % 7 + 1, i % 5 + 1) for i in range(30)])
+    config = BatchPlanConfig(m=4, k=k, policy=policy, seed=2, epochs=2)
+    shuffles = epoch_shuffles(corpus, 2, 2)
+    made = stream_signature(run_epochs(corpus, config))
+    with mock.patch.object(Corpus, "__init__", autospec=True, side_effect=Corpus.__init__) as init:
+        stream = run_epochs(corpus, config, shuffles)
+    assert init.call_count == 0
+    assert stream_signature(stream) == made
+
+
 def test_epochs_reshuffle_but_replay():
     corpus = make_corpus([(i % 9 + 1, i % 9 + 1) for i in range(24)])
     config = BatchPlanConfig(m=4, k=1, policy=UNSORTED, seed=3, epochs=2)
@@ -225,17 +240,21 @@ def test_epoch_shuffle_seed_distinct_and_stable():
 
 def test_epoch_order_matches_shuffle_permutation():
     """The epoch's shuffle, stable-sorted within blocks: m*k pairs for a
-    partial sort, m for unsorted, the whole epoch for a full sort."""
+    partial sort, m for unsorted, the whole epoch for a full sort. The order
+    is an intp array of rows of the shuffle."""
     corpus = make_corpus([(i % 5 + 1, i % 3 + 1) for i in range(14)])
-    shuffled = shuffle(corpus, epoch_shuffle_seed(4, 1)).pairs
+    shuffled = shuffle(corpus, epoch_shuffle_seed(4, 1))
+    pairs = shuffled.pairs
     for policy, k, block in ((PARTIAL_SORT, 2, 6), (UNSORTED, 1, 3), (FULL_SORT, 1, 14)):
         config = BatchPlanConfig(m=3, k=k, policy=policy, seed=4)
         expected = [
             pair
             for start in range(0, 14, block)
-            for pair in sorted(shuffled[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
+            for pair in sorted(pairs[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
         ]
-        assert epoch_order(shuffle(corpus, epoch_shuffle_seed(4, 1)), config).pairs == tuple(expected)
+        order = epoch_order(shuffled, config)
+        assert order.dtype == np.intp
+        assert [pairs[row] for row in order.tolist()] == expected
 
 
 INT64_MAX = 2**63 - 1
@@ -260,7 +279,7 @@ def test_epoch_order_is_lexsort_block_sort_at_any_length(lengths):
             start + np.lexsort((shuffled.tgt[start : start + block], shuffled.src[start : start + block]))
             for start in range(0, 60, block)
         ]
-        assert epoch_order(shuffled, config).ids.tolist() == shuffled.ids[np.concatenate(expected)].tolist()
+        assert epoch_order(shuffled, config).tolist() == np.concatenate(expected).tolist()
 
 
 @pytest.mark.parametrize(
@@ -283,15 +302,16 @@ def test_epoch_order_sorts_blocks_across_length_widths(src_lengths, tgt_lengths)
     src = rng.choice(np.array(src_lengths, dtype=np.int64), size=n)  # few values: many ties
     tgt = rng.choice(np.array(tgt_lengths, dtype=np.int64), size=n)
     corpus = Corpus(np.arange(n), src, tgt)
-    shuffled = shuffle(corpus, epoch_shuffle_seed(5, 0)).pairs
+    shuffled = shuffle(corpus, epoch_shuffle_seed(5, 0))
+    pairs = shuffled.pairs
     for policy, k, block in ((PARTIAL_SORT, 4, 12), (UNSORTED, 1, 3), (FULL_SORT, 1, n)):
         expected = [
             pair
             for start in range(0, n, block)
-            for pair in sorted(shuffled[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
+            for pair in sorted(pairs[start : start + block], key=lambda p: (p.src_len, p.tgt_len))
         ]
         config = BatchPlanConfig(m=3, k=k, policy=policy, seed=5)
-        assert epoch_order(shuffle(corpus, epoch_shuffle_seed(5, 0)), config).pairs == tuple(expected)
+        assert [pairs[row] for row in epoch_order(shuffled, config).tolist()] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -63,19 +63,6 @@ def test_corpus_ids_must_be_the_lines_0_to_n(ids):
         Corpus(ids, [1, 1], [1, 1])
 
 
-@pytest.mark.parametrize("rows", [[0, 0], [2, 1, 2], [-1, 3], [0, -4]])
-def test_take_rejects_repeated_rows(rows):
-    with pytest.raises(ValueError, match="distinct"):
-        make_corpus([1, 2, 3, 4]).take(rows)
-
-
-def test_take_keeps_order_and_read_only_columns():
-    corpus = make_corpus([(1, 2), (3, 4), (5, 6)])
-    taken = corpus.take([2, 0, 1])
-    assert taken.pairs == (SentencePair(2, 5, 6), SentencePair(0, 1, 2), SentencePair(1, 3, 4))
-    assert not any(column.flags.writeable for column in (taken.ids, taken.src, taken.tgt))
-
-
 def test_id_text_rows_run_from_the_smallest_contiguous_id():
     corpus = Corpus([2, 0, 1] + list(range(3, 11)), [1] * 11, [1] * 11)
     text, lengths = corpus.id_text
@@ -396,6 +383,13 @@ def test_filter_idempotent(corpus, limit):
 def test_shuffle_single_pair_identity():
     corpus = make_corpus([5])
     assert shuffle(corpus, 123).pairs == corpus.pairs
+
+
+def test_shuffle_is_the_seeded_permutation_in_read_only_columns():
+    corpus = make_corpus([(1, 2), (3, 4), (5, 6)])
+    shuffled = shuffle(corpus, 3)
+    assert shuffled.pairs == tuple(corpus.pairs[row] for row in np.random.default_rng(3).permutation(3))
+    assert not any(column.flags.writeable for column in (shuffled.ids, shuffled.src, shuffled.tgt))
 
 
 def test_shuffle_deterministic():
