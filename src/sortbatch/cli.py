@@ -163,13 +163,15 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
 
     Deterministic for a fixed spec. out_dir holds one sweep: it is written to
     a hidden sibling, .{name}.{pid}.tmp, that replaces out_dir whole once
-    complete, so a failed call leaves out_dir as it was. FileExistsError
-    refuses a non-directory, a non-empty directory without sweep.json, and
-    the working directory or an ancestor of it, which the swap would delete.
+    complete, so a failed call leaves out_dir as it was. An out_dir that is
+    a symlink is resolved first: the sweep replaces its target and the link
+    stays. FileExistsError refuses a non-directory, a non-empty directory
+    without sweep.json, and the working directory or an ancestor of it,
+    which the swap would delete.
     """
-    out = Path(os.path.abspath(spec.out_dir))
+    out = Path(spec.out_dir).resolve()
     cwd = Path.cwd().resolve()
-    if out.resolve() in (cwd, *cwd.parents):
+    if out in (cwd, *cwd.parents):
         raise FileExistsError(f"{spec.out_dir}: is the working directory or one of its ancestors; refusing to replace it")
     if out.exists() and (not out.is_dir() or (any(out.iterdir()) and not (out / "sweep.json").is_file())):
         raise FileExistsError(f"{spec.out_dir}: exists and holds no sweep; refusing to replace it")

@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from statistics import NormalDist
 from typing import Iterator
 
 import numpy as np
@@ -177,9 +178,9 @@ class SynthParams:
 
     Source lengths are drawn from `length_dist` fitted so that the moments of
     its truncation to [1, max_len] match (mean_src, std_src). They are sampled
-    by inverse CDF: a uniform draw over the truncation's CDF range goes through
-    a numpy normal quantile (Acklam's start, one Halley step against the
-    standard library's math.erfc).
+    by inverse CDF: a uniform draw over the truncation's CDF range, which
+    math.erfc gives, goes through the standard library's normal quantile,
+    statistics.NormalDist().inv_cdf.
     Target lengths couple to the source via a zero-mean perturbation with mean
     absolute value close to pair_diff_mean. Lengths are drawn as floats, so
     max_len is at most 2**53; std_src and pair_diff_mean lie in [0, max_len].
@@ -422,64 +423,29 @@ def _histogram(values: np.ndarray) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-#: Acklam's rational start for the lower-tail normal quantile (relative error
-#: below 1.15e-9): a central ratio in (p - 1/2) and a tail ratio in sqrt(-2 log p).
-_ACKLAM_A = (
-    -3.969683028665376e1, 2.209460984245205e2, -2.759285104469687e2, 1.383577518672690e2,
-    -3.066479806614716e1, 2.506628277459239,
-)
-_ACKLAM_B = (
-    -5.447609879822406e1, 1.615858368580409e2, -1.556989798598866e2, 6.680131188771972e1,
-    -1.328068155288572e1, 1.0,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-3, -3.223964580411365e-1, -2.400758277161838, -2.549732539343734,
-    4.374664141464968, 2.938163982698783,
-)
-_ACKLAM_D = (7.784695709041462e-3, 3.224671290700398e-1, 2.445134137142996, 3.754408661907416, 1.0)
-_ACKLAM_TAIL = 0.02425
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: Largest argument of exp that stays finite.
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
-
-
-def _erfc(y: ArrayLike) -> np.ndarray:
-    """math.erfc of each element of y, in y's shape, built without an object
-    array. It goes subnormal above about 26.54 and reaches 0 near 27.23."""
-    return np.fromiter(map(math.erfc, np.ravel(y)), np.float64, np.size(y)).reshape(np.shape(y))
+_STANDARD_NORMAL = NormalDist()
 
 
 def _ndtr(x: ArrayLike) -> np.ndarray:
-    """Standard normal CDF, erfc(-x/sqrt(2))/2."""
-    return 0.5 * _erfc(-np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
-
-
-def _acklam_central(p: np.ndarray) -> np.ndarray:
-    q = p - 0.5
-    r = q * q
-    return q * np.polyval(_ACKLAM_A, r) / np.polyval(_ACKLAM_B, r)
-
-
-def _acklam_tail(p: np.ndarray) -> np.ndarray:
-    s = np.sqrt(-2.0 * np.log(p))
-    return np.polyval(_ACKLAM_C, s) / np.polyval(_ACKLAM_D, s)
+    """Standard normal CDF, erfc(-x/sqrt(2))/2, with math.erfc applied to each
+    element and the result in x's shape, built without an object array. It
+    goes subnormal near -37.5 and reaches 0 near -38.5."""
+    y = -np.asarray(x, dtype=np.float64) / math.sqrt(2.0)
+    return 0.5 * np.fromiter(map(math.erfc, y.ravel().tolist()), np.float64, y.size).reshape(y.shape)
 
 
 def _ndtri(u: ArrayLike) -> np.ndarray:
-    """Standard normal quantile: Acklam's rational start, good to 1.15e-9,
-    then one Halley step against `_ndtr`, which converges cubically. Works on
-    the lower-tail probability min(u, 1 - u), where 1 - u is exact for
-    u >= 1/2. ndtri(0) = -inf and ndtri(1) = inf; a probability below the
-    smallest normal float maps to that float's quantile, near -37.5, where
-    `_ndtr` goes subnormal (it reaches 0 near -38.5)."""
+    """Standard normal quantile: statistics.NormalDist().inv_cdf, Wichura's
+    Algorithm AS 241, of each element of u, in u's shape. ndtri(0) = -inf and
+    ndtri(1) = inf, the two values at which inv_cdf raises."""
     u = np.asarray(u, dtype=np.float64)
-    p = np.minimum(u, 1.0 - u)
-    clipped = np.clip(p, np.finfo(np.float64).tiny, 0.5)
-    x = np.piecewise(clipped, [clipped < _ACKLAM_TAIL], [_acklam_tail, _acklam_central])
-    step = (_ndtr(x) - clipped) * _SQRT_2PI * np.exp(0.5 * x * x)
-    x = x - step / (1.0 + 0.5 * x * step)
-    x = np.where(p == 0, -np.inf, x)
-    return np.where(u > 0.5, -x, x)
+    ends = (u == 0.0) | (u == 1.0)
+    inner = np.where(ends, 0.5, u).ravel().tolist()
+    x = np.fromiter(map(_STANDARD_NORMAL.inv_cdf, inner), np.float64, u.size).reshape(u.shape)
+    return np.where(ends, np.copysign(np.inf, u - 0.5), x)
 
 
 def _lognormal_trunc_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
@@ -619,10 +585,10 @@ def _sample_src_lengths(params: SynthParams, rng: np.random.Generator) -> np.nda
 def synth_generate(params: SynthParams) -> Corpus:
     """Generate a deterministic synthetic corpus of paired lengths.
 
-    Source lengths are sampled by inverse CDF with a numpy normal quantile
-    (see SynthParams). Target lengths are the source lengths plus round(eps)
-    with eps drawn zero-mean normal scaled so E|eps| equals pair_diff_mean,
-    clamped to [1, max_len].
+    Source lengths are sampled by inverse CDF with the standard library's
+    normal quantile, NormalDist().inv_cdf (see SynthParams). Target lengths
+    are the source lengths plus round(eps) with eps drawn zero-mean normal
+    scaled so E|eps| equals pair_diff_mean, clamped to [1, max_len].
     """
     rng = np.random.default_rng(params.seed)
     src = _sample_src_lengths(params, rng)

@@ -405,6 +405,18 @@ def test_rerun_replaces_earlier_sweep(corpus_file, tmp_path, capsys):
     assert stdout == (out / "comparison.csv").read_text(encoding="utf-8")
 
 
+def test_rerun_through_a_symlink_replaces_the_linked_sweep(corpus_file, tmp_path, capsys):
+    target = tmp_path / "sweep"
+    link = tmp_path / "latest"
+    run(simulate_args(corpus_file, target, k=("1", "10"), seeds=("0",)), capsys)
+    link.symlink_to(target.name)
+    code, _, err = run(simulate_args(corpus_file, link, k=("1", "20"), seeds=("0",)), capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert (target / "run_k20_seed0").is_dir() and not (target / "run_k10_seed0").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "latest", "sweep"]
+
+
 def test_simulate_refuses_out_that_holds_no_sweep(corpus_file, tmp_path, capsys):
     foreign = tmp_path / "notes"
     foreign.mkdir()

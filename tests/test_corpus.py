@@ -564,12 +564,26 @@ def test_synth_normal_family():
             SynthParams(n=40_000, seed=0, mean_src=10.68, std_src=3.17, max_len=50, pair_diff_mean=0.006),
             "90741c8c8ec077929021f9af66d2df88171313cfe491a1e52ac4c6135a380196",
         ),
+        (
+            SynthParams(
+                n=500_000, seed=0, mean_src=22.64, std_src=15.55, max_len=125, pair_diff_mean=2.45,
+                length_dist=NORMAL,
+            ),
+            "1ced66f6910ed87f7128c163c05fe5afd19dddfaebbe89375f9bcd2182f287f1",
+        ),
+        (
+            SynthParams(
+                n=40_000, seed=0, mean_src=10.68, std_src=3.17, max_len=50, pair_diff_mean=0.006,
+                length_dist=NORMAL,
+            ),
+            "fce0554f7910101571c4def2de8f9962e2e784939dbe9d9d4e5b263c8976db79",
+        ),
     ],
-    ids=["long_tailed_500k", "short_40k"],
+    ids=["long_tailed_500k", "short_40k", "long_tailed_500k_normal", "short_40k_normal"],
 )
 def test_synth_benchmark_corpora_are_pinned(params, digest):
-    """The seed-0 corpora of the two benchmark shapes, byte for byte. Unlike
-    test_synth_equivalence.py, this needs no scipy."""
+    """The seed-0 corpora of the two benchmark shapes in both length families,
+    byte for byte. Unlike test_synth_equivalence.py, this needs no scipy."""
     assert corpus_hash(synth_generate(params)) == digest
 
 
@@ -591,6 +605,17 @@ def test_ndtri_inverts_ndtr_from_minus_37_to_8():
     # p holds x only to its float spacing, which moves the quantile by spacing / density.
     tolerance = 1e-14 * np.maximum(1.0, np.abs(x)) + 4 * np.spacing(p) / density
     assert (np.abs(_ndtri(p) - x) <= tolerance).all()
+
+
+def test_ndtri_resolves_subnormal_probabilities():
+    """Below the smallest normal float the quantile keeps falling, and _ndtr
+    maps it back to p as closely as x's float spacing allows: one spacing of
+    x moves _ndtr by about p * |x| * spacing(x), some subnormal steps of p."""
+    p = np.array([5e-324, 1e-310, 2.2250738585072014e-308])
+    x = _ndtri(p)
+    assert (np.diff(x) > 0).all()
+    tolerance = 2 * p * np.abs(x) * np.spacing(np.abs(x)) + np.spacing(p)
+    assert (np.abs(_ndtr(x) - p) <= tolerance).all()
 
 
 def test_ndtri_endpoints():
