@@ -20,14 +20,13 @@ BatchStream of integer columns, not as per-pair objects.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, SentencePair, id_text_table, shuffle
+from .corpus import Corpus, SentencePair, shuffle
 
 PARTIAL_SORT = "partial_sort"
 UNSORTED = "unsorted"
@@ -50,7 +49,6 @@ __all__ = [
     "run_epochs",
     "batch_record",
     "write_batches_jsonl",
-    "read_batches_jsonl",
 ]
 
 
@@ -114,9 +112,10 @@ class BatchStream(Sequence[Batch]):
     ids are int64, and src/tgt keep the dtypes of the corpus columns they
     were gathered from, so sums over them are taken in int64 (length_sums).
     Per batch, in int64: padded_src/padded_tgt are the member maxima, epoch
-    and iteration its position. corpus is the corpus the pairs were cut from
-    (run_epochs sets it): each id is a row of it, so write_batches_jsonl
-    gathers the text of the ids from its cached corpus.id_text. Indexing and
+    and iteration its position. corpus is the corpus the pairs were cut from,
+    which run_epochs sets and write_batches_jsonl requires: each id is a row
+    of it, so the writer gathers the text of the ids from its cached
+    corpus.id_text; BatchStream.of leaves it None. Indexing and
     iteration build Batch values whose pairs, a tuple of SentencePair, are
     made when the batch is indexed.
     """
@@ -272,20 +271,18 @@ def batch_record(batch: Batch) -> dict:
     }
 
 
-def write_batches_jsonl(batches: Sequence[Batch], path: str | Path) -> None:
-    """One line per batch, byte for byte json.dumps(batch_record(batch)) + "\n".
+def write_batches_jsonl(stream: BatchStream, path: str | Path) -> None:
+    """One line per batch of a run_epochs stream, byte for byte
+    json.dumps(batch_record(batch)) + "\n".
 
-    Ids are rendered by gathering rows of an id-text table: for a stream
-    from run_epochs, row i of its corpus's cached Corpus.id_text is the text
-    of id i, so each id is converted to text once per corpus, not once per
-    run; a stream of plain batches gets a table of its own ids, row r for
-    stream row r.
+    Row i of the stream corpus's cached Corpus.id_text is the text of id i,
+    so ids are rendered by gathering rows of it: each id is converted to text
+    once per corpus, not once per run. Raises ValueError on anything but a
+    BatchStream whose corpus is set, as run_epochs returns it.
     """
-    stream = BatchStream.of(batches)
-    if stream.corpus is None:
-        (text, lengths), keys = id_text_table(stream.ids), np.arange(len(stream.ids))
-    else:
-        (text, lengths), keys = stream.corpus.id_text, stream.ids
+    if not isinstance(stream, BatchStream) or stream.corpus is None:
+        raise ValueError("write_batches_jsonl takes the BatchStream of run_epochs, which records its corpus")
+    text, lengths = stream.corpus.id_text
     starts, sizes = stream.starts, stream.sizes
     ends = starts + sizes
     records = list(zip(*(c.tolist() for c in (stream.epoch, stream.iteration, stream.padded_src, stream.padded_tgt))))
@@ -294,7 +291,7 @@ def write_batches_jsonl(batches: Sequence[Batch], path: str | Path) -> None:
         for b in range(0, len(stream), step):
             e = min(b + step, len(stream))
             lo, hi = starts[b], ends[e - 1]
-            rows = keys[lo:hi]
+            rows = stream.ids[lo:hi]
             ids_text = text[rows].tobytes().translate(None, b"\0")
             offsets = np.concatenate(([0], np.cumsum(lengths[rows], dtype=np.int64)))
             # Each batch's span of ids_text, less the ", " after its last id.
@@ -303,8 +300,3 @@ def write_batches_jsonl(batches: Sequence[Batch], path: str | Path) -> None:
                 _LINE % (epoch, iteration, ids_text[s:t], src, tgt)
                 for (epoch, iteration, src, tgt), (s, t) in zip(records[b:e], spans)
             ))
-
-
-def read_batches_jsonl(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]

@@ -299,24 +299,23 @@ def _add_synth_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--mean-src", type=float, required=required, help="target mean source length")
     parser.add_argument("--std-src", type=float, required=required, help="target source length std dev")
     parser.add_argument("--max-len", type=int, required=required, help="length cap on both sides")
-    parser.add_argument("--pair-diff", type=float, default=0.0, help="target mean |src - tgt| (default 0)")
-    parser.add_argument(
-        "--length-dist", choices=LENGTH_DISTS, default=LOGNORMAL, help="source length family"
-    )
+    parser.add_argument("--pair-diff", type=float, help="target mean |src - tgt| (default 0)")
+    parser.add_argument("--length-dist", choices=LENGTH_DISTS, help=f"source length family (default {LOGNORMAL})")
 
 
 def _synth_params(args: argparse.Namespace) -> SynthParams:
-    """The requested SynthParams. A std_src above the Bhatia-Davis bound
-    sqrt((mean_src - 1)(max_len - mean_src)), the largest std of lengths in
-    [1, max_len] with that mean, is refused: no corpus can match it."""
+    """The requested SynthParams, with its defaults for --pair-diff,
+    --length-dist and --seed when they are not given. A std_src above the
+    Bhatia-Davis bound sqrt((mean_src - 1)(max_len - mean_src)), the largest
+    std of lengths in [1, max_len] with that mean, is refused: no corpus can
+    match it."""
+    optional = {"pair_diff_mean": args.pair_diff, "length_dist": args.length_dist, "seed": args.seed}
     params = SynthParams(
         n=args.n,
         mean_src=args.mean_src,
         std_src=args.std_src,
         max_len=args.max_len,
-        pair_diff_mean=args.pair_diff,
-        length_dist=args.length_dist,
-        seed=args.seed,
+        **{name: value for name, value in optional.items() if value is not None},
     )
     bound = math.sqrt((params.mean_src - 1) * (params.max_len - params.mean_src))
     if params.std_src > bound:
@@ -332,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     seed, fmt, out = (_Parser(add_help=False) for _ in range(3))
-    seed.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    seed.add_argument("--seed", type=int, help="generator seed (default 0)")
     fmt.add_argument("--format", choices=FORMATS, default="md", help="output format (default md)")
     out.add_argument("--out", type=Path, default=None, help="output path")
 
@@ -416,11 +415,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is None:
         raise UsageError("simulate requires --out (output directory)")
-    synth_flags = (args.n, args.mean_src, args.std_src, args.max_len)
-    if args.corpus is None and any(v is None for v in synth_flags):
+    needed = ("n", "mean_src", "std_src", "max_len")
+    given = [name for name in (*needed, "pair_diff", "length_dist", "seed") if getattr(args, name) is not None]
+    if args.corpus is None and not set(needed) <= set(given):
         raise UsageError("simulate needs --corpus or all of --n --mean-src --std-src --max-len")
-    if args.corpus is not None and any(v is not None for v in synth_flags):
-        raise UsageError("--corpus and synth params are mutually exclusive")
+    if args.corpus is not None and given:
+        flags = " ".join("--" + name.replace("_", "-") for name in given)
+        raise UsageError(f"--corpus and the synth flags are mutually exclusive, got {flags}")
     spec = SweepSpec(
         m=args.m,
         k_values=_parse_k_values(args.k),

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from statistics import NormalDist
-from typing import Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -55,7 +54,6 @@ __all__ = [
     "compute_stats",
     "synth_generate",
     "write_lengths_tsv",
-    "id_text_table",
     "corpus_hash",
 ]
 
@@ -92,9 +90,10 @@ class Corpus:
     int64 and src and tgt each in the smallest unsigned type of its maximum
     (`np.min_scalar_type`, uint8 for lengths up to 255), so a gather or sort
     of a length column moves no more bytes than its values need. Sums and
-    products of lengths are taken in int64. `pairs`, a SentencePair view,
-    `lengths_tsv`, the canonical text, and `id_text`, the text of each id,
-    are built on first use. A column already in its stored dtype is used
+    products of lengths are taken in int64. `pairs`, a SentencePair view
+    (iterate it, not the corpus), `lengths_tsv`, the canonical text, and
+    `id_text`, the text of each id that write_batches_jsonl gathers, are
+    built on first use. A column already in its stored dtype is used
     without a copy, so the caller must not write to it afterwards.
     """
 
@@ -142,17 +141,21 @@ class Corpus:
 
     @cached_property
     def id_text(self) -> tuple[np.ndarray, np.ndarray]:
-        """`id_text_table` of the ids 0..n-1, so that row i is the text of id i."""
-        table = _id_text(*_counting_digits(len(self)))
+        """Row i is the JSON-list text `"{i}, "` of id i, its digits
+        right-aligned with NUL for leading zeros, in a bytes dtype as wide as
+        the text of id n-1 (so a gather copies whole rows); and the length of
+        each text as uint8. Dropping the NULs leaves the text."""
+        digits, counts = _counting_digits(len(self))
+        text = np.zeros((len(digits), digits.shape[1] + 2), dtype=np.uint8)
+        text[:, :-2] = digits
+        text[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
+        table = text.view(f"S{text.shape[1]}").ravel(), counts + 2
         for column in table:
             column.setflags(write=False)
         return table
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[SentencePair]:
-        return iter(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -301,29 +304,6 @@ def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple[int
 
 def write_lengths_tsv(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(corpus.lengths_tsv, encoding="utf-8")
-
-
-def id_text_table(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The JSON-list text `"{id}, "` of each id, NUL-padded to one width (a
-    bytes dtype, so a gather copies whole rows), and the length of each text
-    as uint8. Raises ValueError on a negative id.
-
-    A text is the decimal digits right-aligned with NUL for leading zeros,
-    then ", "; dropping the NULs leaves the text. The width follows the
-    largest id, so ids below 10**6 take 8 bytes, not the 21 of the int64
-    maximum.
-    """
-    if ids.min(initial=0) < 0:
-        raise ValueError(f"ids must be >= 0, got {ids.min()}")
-    return _id_text(*_decimal_digits(ids))
-
-
-def _id_text(digits: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The id-text table of ids with the given digit rows and digit counts."""
-    text = np.zeros((len(digits), digits.shape[1] + 2), dtype=np.uint8)
-    text[:, :-2] = digits
-    text[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
-    return text.view(f"S{text.shape[1]}").ravel(), counts + 2
 
 
 def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,8 @@ testable proxies quantify that:
     Under this loader it is always 1.0: each refill cycle is one sorted
     block cut from its start into batches of m, so its padded_src cannot drop.
 
-No single batch statistic is privileged; several metric tags are exposed.
+iid_report diagnoses padded_src; the other METRICS tags go through
+extract_series and autocorrelation.
 """
 
 from __future__ import annotations
@@ -185,19 +186,19 @@ def default_max_lag(config: BatchPlanConfig, series_length: int) -> int:
     return max(1, min(2 * config.k, series_length // 2, series_length - 3))
 
 
-def iid_report(batches: Sequence[Batch], config: BatchPlanConfig, metric_tag: str = "padded_src") -> IIDReport:
+def iid_report(batches: Sequence[Batch], config: BatchPlanConfig) -> IIDReport:
     """Autocorrelation at lags 1..default_max_lag plus cycle structure of one
-    run's batch series. A series too short for even lag 1 (fewer than four
-    batches) reports an empty, degenerate autocorrelation instead of failing."""
+    run's padded_src series. A series too short for even lag 1 (fewer than
+    four batches) reports an empty, degenerate autocorrelation instead of failing."""
     batches = BatchStream.of(batches)
-    series = extract_series(batches, metric_tag, config)
+    series = extract_series(batches, "padded_src", config)
     max_lag = default_max_lag(config, len(series.values))
     if len(series.values) > max_lag + 2:
         autocorr = autocorrelation(series, max_lag)
     else:
         autocorr = AutocorrResult(lags={}, degenerate=True)
     return IIDReport(
-        metric_tag=metric_tag,
+        metric_tag=series.metric_tag,
         config=config,
         series_mean=float(np.mean(series.values)),
         series_std=float(np.std(series.values)),

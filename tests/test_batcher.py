@@ -21,7 +21,6 @@ from sortbatch.batcher import (
     epoch_order,
     epoch_shuffle_seed,
     epoch_shuffles,
-    read_batches_jsonl,
     run_epochs,
     write_batches_jsonl,
 )
@@ -456,44 +455,32 @@ def test_batches_jsonl_round_trip(tmp_path):
     batches = run_epochs(corpus, BatchPlanConfig(m=4, k=2, seed=6, epochs=2))
     path = tmp_path / "batches.jsonl"
     write_batches_jsonl(batches, path)
-    records = read_batches_jsonl(path)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert records == [batch_record(b) for b in batches]
     assert records[0].keys() == {"epoch", "iteration", "ids", "padded_src", "padded_tgt"}
-
-
-#: Sparse ids as a plain list of batches may hold them, up to the int64 maximum.
-sparse_ids = st.integers(0, INT64_MAX) | st.sampled_from([0, 1, 9, 10, INT64_MAX])
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_batches_jsonl_bytes_equal_json_dumps(tmp_path_factory, data):
-    """The corpus's id-text table for a run_epochs stream; for plain batches,
-    a table of the stream's own ids, drawn sparse and up to the int64 maximum."""
+    """A run_epochs stream, written in chunks of a drawn number of pairs."""
     corpus, config = data.draw(corpus_and_config())
     stream = run_epochs(corpus, config)
-    batches = stream
-    if data.draw(st.booleans(), label="plain batches"):
-        ids = data.draw(st.lists(sparse_ids, min_size=len(corpus), max_size=len(corpus), unique=True), label="ids")
-        batches = [
-            Batch(tuple(SentencePair(ids[p.id], p.src_len, p.tgt_len) for p in b.pairs), b.padded_src, b.padded_tgt,
-                  b.iteration_index, b.epoch_index)
-            for b in stream
-        ]
     path = tmp_path_factory.mktemp("jsonl") / "batches.jsonl"
     with mock.patch.object(batcher, "_CHUNK_PAIRS", data.draw(st.integers(1, 50), label="chunk")):
-        write_batches_jsonl(batches, path)
-    assert path.read_bytes() == "".join(json.dumps(batch_record(b)) + "\n" for b in batches).encode()
+        write_batches_jsonl(stream, path)
+    assert path.read_bytes() == "".join(json.dumps(batch_record(b)) + "\n" for b in stream).encode()
 
 
-def test_batches_jsonl_bytes_of_plain_batches(tmp_path):
+def test_batches_jsonl_refuses_plain_batches(tmp_path):
+    """Plain batches record no corpus to gather id text from, as a list or as
+    BatchStream.of one; the writer refuses both before it creates the file."""
     batches = [
         Batch(pairs=(SentencePair(3, 2, 1), SentencePair(10**12, 1, 4)), padded_src=2, padded_tgt=4,
               iteration_index=0, epoch_index=0),
-        Batch(pairs=(), padded_src=0, padded_tgt=0, iteration_index=1, epoch_index=0),
     ]
     path = tmp_path / "batches.jsonl"
-    write_batches_jsonl(batches, path)
-    assert path.read_bytes() == "".join(json.dumps(batch_record(b)) + "\n" for b in batches).encode()
-    write_batches_jsonl([], path)
-    assert path.read_bytes() == b""
+    for plain in (batches, BatchStream.of(batches), []):
+        with pytest.raises(ValueError, match="run_epochs"):
+            write_batches_jsonl(plain, path)
+    assert not path.exists()

@@ -3,6 +3,7 @@
 import json
 import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +307,18 @@ def test_simulate_requires_exactly_one_source(corpus_file, tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "flags", [["--pair-diff", "5"], ["--length-dist", "normal"], ["--seed", "7"], ["--n", "200"]]
+)
+def test_simulate_refuses_synth_flags_with_corpus(flags, corpus_file, tmp_path, capsys):
+    """A synth flag given with --corpus would be ignored: it is a usage error that names the flag."""
+    out = tmp_path / "sweep"
+    code, stdout, err = run([*simulate_args(corpus_file, out), *flags], capsys)
+    assert code == EXIT_USAGE
+    assert flags[0] in err
+    assert stdout == "" and not out.exists()
+
+
 def test_simulate_rejects_bad_k(corpus_file, tmp_path, capsys):
     code, _, err = run(simulate_args(corpus_file, tmp_path / "x", k=("0",)), capsys)
     assert code == EXIT_USAGE
@@ -389,6 +402,29 @@ def test_failed_rerun_keeps_earlier_sweep(corpus_file, tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "write_iid_report_json", fail_second_cell)
     code, _, err = run(simulate_args(corpus_file, out, k=("1", "5")), capsys)
     assert code == EXIT_IO
+    assert "injected" in err
+    assert tree(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "sweep"]
+
+
+def test_failed_publish_puts_earlier_sweep_back(corpus_file, tmp_path, capsys, monkeypatch):
+    """The stage-to-out rename fails once the earlier sweep is moved aside:
+    that sweep is renamed back, and no .old or .tmp sibling is left."""
+    out = tmp_path / "sweep"
+    assert run(simulate_args(corpus_file, out), capsys)[0] == EXIT_OK
+    before = tree(out)
+    real_rename = Path.rename
+    failed = []
+
+    def rename(self, target):
+        if self.name.endswith(".tmp") and Path(target) == out.resolve():
+            failed.append(self)
+            raise OSError("injected rename failure")
+        return real_rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", rename)
+    code, _, err = run(simulate_args(corpus_file, out, k=("1", "5")), capsys)
+    assert (code, len(failed)) == (EXIT_IO, 1)
     assert "injected" in err
     assert tree(out) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "sweep"]

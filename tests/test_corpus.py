@@ -23,7 +23,6 @@ from sortbatch.corpus import (
     compute_stats,
     corpus_hash,
     filter_max_len,
-    id_text_table,
     load_corpus,
     shuffle,
     synth_generate,
@@ -73,17 +72,13 @@ def test_id_text_rows_run_from_the_smallest_contiguous_id():
 
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 1000, 100_001, 1_000_001])
 def test_id_text_is_the_table_of_0_to_n(n):
+    """Row i is f"{i}, " right-aligned with NUL to the width of the text of n - 1."""
     ones = np.ones(n, dtype=np.uint8)
     text, lengths = Corpus(np.arange(n), ones, ones).id_text
-    want_text, want_lengths = id_text_table(np.arange(n))
-    assert (text.dtype, lengths.dtype) == (want_text.dtype, want_lengths.dtype)
-    assert np.array_equal(text, want_text)
-    assert np.array_equal(lengths, want_lengths)
-
-
-def test_id_text_table_rejects_negative_ids():
-    with pytest.raises(ValueError, match=">= 0"):
-        id_text_table(np.array([3, -1, 0]))
+    width = len(f"{n - 1}, ")
+    assert (text.dtype, lengths.dtype) == (np.dtype(f"S{width}"), np.uint8)
+    assert text.tobytes() == b"".join(f"{i}, ".encode().rjust(width, b"\0") for i in range(n))
+    assert lengths.tolist() == [len(f"{i}, ") for i in range(n)]
 
 
 @pytest.mark.parametrize(
