@@ -47,14 +47,14 @@ def main() -> None:
             k_values=(1, 1000, 2500),
             seeds=tuple(args.seeds),
             out_dir=args.out / "long_tail",
-            synth=SynthParams(n=args.n_long, seed=args.corpus_seed, **LONG_TAIL),
+            source=SynthParams(n=args.n_long, seed=args.corpus_seed, **LONG_TAIL),
         ),
         "short": SweepSpec(
             m=args.m,
             k_values=(1, 100, 250, 500, "all"),
             seeds=tuple(args.seeds),
             out_dir=args.out / "short",
-            synth=SynthParams(n=args.n_short, seed=args.corpus_seed, **SHORT),
+            source=SynthParams(n=args.n_short, seed=args.corpus_seed, **SHORT),
         ),
     }
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shutil
 import sys
@@ -58,7 +57,9 @@ from .cost import (
 )
 from .diagnostics import iid_report, write_iid_report_json
 
-FORMATS = ("csv", "md", "json")
+#: The comparison renderer of each --format; simulate also writes the csv and md ones.
+_RENDERERS = {"csv": comparison_to_csv, "md": comparison_to_markdown, "json": comparison_to_json}
+FORMATS = tuple(_RENDERERS)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,20 +95,18 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One policy sweep: a corpus source crossed with k values and seeds."""
+    """One policy sweep: a corpus source crossed with k values and seeds. The
+    source is a lengths-tsv file to load or the SynthParams to synthesise."""
 
     m: int
     k_values: tuple[int | str, ...]
     seeds: tuple[int, ...]
     out_dir: Path
-    corpus_path: Path | None = None
-    synth: SynthParams | None = None
+    source: Path | SynthParams
     epochs: int = 1
     drop_last: bool = False
 
     def __post_init__(self) -> None:
-        if (self.corpus_path is None) == (self.synth is None):
-            raise ValueError("exactly one corpus source required: a path or synth params")
         if not self.k_values:
             raise ValueError("k_values must be nonempty")
         if not self.seeds:
@@ -133,11 +132,10 @@ class SweepSpec:
 
 
 def _sweep_record(spec: SweepSpec, digest: str) -> dict:
-    source: dict[str, object]
-    if spec.corpus_path is not None:
-        source = {"path": str(spec.corpus_path)}
+    if isinstance(spec.source, SynthParams):
+        source = {"synth": asdict(spec.source)}
     else:
-        source = {"synth": asdict(spec.synth)}
+        source = {"path": str(spec.source)}
     return {
         "m": spec.m,
         "k_values": [str(k) for k in spec.k_values],
@@ -175,10 +173,7 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
         raise FileExistsError(f"{spec.out_dir}: is the working directory or one of its ancestors; refusing to replace it")
     if out.exists() and (not out.is_dir() or (any(out.iterdir()) and not (out / "sweep.json").is_file())):
         raise FileExistsError(f"{spec.out_dir}: exists and holds no sweep; refusing to replace it")
-    if spec.corpus_path is not None:
-        corpus = load_corpus(spec.corpus_path)
-    else:
-        corpus = synth_generate(spec.synth)
+    corpus = synth_generate(spec.source) if isinstance(spec.source, SynthParams) else load_corpus(spec.source)
     digest = corpus_hash(corpus)
 
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -200,9 +195,9 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
             del shuffles  # one seed's shuffles at a time: freed before the next seed makes its own
         reports = [cell_reports[cell] for cell in configs]
         comparison = compare_costs(reports)
-        for name, render in (("comparison.csv", comparison_to_csv), ("comparison.md", comparison_to_markdown)):
-            with open(stage / name, "w", encoding="utf-8") as handle:
-                handle.write(render(comparison))
+        for fmt in ("csv", "md"):
+            with open(stage / f"comparison.{fmt}", "w", encoding="utf-8") as handle:
+                handle.write(_RENDERERS[fmt](comparison))
         _publish(stage, out)
         return comparison, reports
     finally:
@@ -240,13 +235,16 @@ def _publish(stage: Path, out: Path) -> None:
 
 
 def collect_reports(paths: Sequence[Path]) -> list[RunReport]:
-    """Load every report.json at or below the given paths, in sorted order."""
+    """Load every report.json at or below the given paths, in sorted order.
+    Under a directory, hidden directories are skipped: a killed simulate may
+    leave its stage (.NAME.PID.tmp) or the sweep it replaced (.NAME.PID.old)."""
     found: list[Path] = []
     for path in paths:
         if path.is_file():
             found.append(path)
         elif path.is_dir():
-            found.extend(path.rglob("report.json"))
+            reports = path.rglob("report.json")
+            found.extend(p for p in reports if not any(part.startswith(".") for part in p.relative_to(path).parts))
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
     found = sorted(set(found), key=str)
@@ -305,25 +303,15 @@ def _add_synth_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 def _synth_params(args: argparse.Namespace) -> SynthParams:
     """The requested SynthParams, with its defaults for --pair-diff,
-    --length-dist and --seed when they are not given. A std_src above the
-    Bhatia-Davis bound sqrt((mean_src - 1)(max_len - mean_src)), the largest
-    std of lengths in [1, max_len] with that mean, is refused: no corpus can
-    match it."""
+    --length-dist and --seed when they are not given."""
     optional = {"pair_diff_mean": args.pair_diff, "length_dist": args.length_dist, "seed": args.seed}
-    params = SynthParams(
+    return SynthParams(
         n=args.n,
         mean_src=args.mean_src,
         std_src=args.std_src,
         max_len=args.max_len,
         **{name: value for name, value in optional.items() if value is not None},
     )
-    bound = math.sqrt((params.mean_src - 1) * (params.max_len - params.mean_src))
-    if params.std_src > bound:
-        raise ValueError(
-            f"infeasible params: std_src={params.std_src} above sqrt((mean_src - 1)(max_len - mean_src))"
-            f" = {bound} for mean_src={params.mean_src}, max_len={params.max_len}"
-        )
-    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,8 +415,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         k_values=_parse_k_values(args.k),
         seeds=tuple(args.seeds),
         out_dir=args.out,
-        corpus_path=args.corpus,
-        synth=None if args.corpus is not None else _synth_params(args),
+        source=args.corpus if args.corpus is not None else _synth_params(args),
         epochs=args.epochs,
         drop_last=args.drop_last,
     )
@@ -446,8 +433,7 @@ def _emit_comparison(comparison: CostComparison, fmt: str, out: Path | None) -> 
     """Write the table in the chosen format to `out`, or stdout if None. A
     missing baseline is noted on stderr only once the table is written, so a
     failed write leaves stderr holding just its error."""
-    render = {"csv": comparison_to_csv, "md": comparison_to_markdown, "json": comparison_to_json}
-    rendered = render[fmt](comparison)
+    rendered = _RENDERERS[fmt](comparison)
     if out is not None:
         out.write_text(rendered, encoding="utf-8")
     else:

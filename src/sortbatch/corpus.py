@@ -186,7 +186,9 @@ class SynthParams:
     statistics.NormalDist().inv_cdf.
     Target lengths couple to the source via a zero-mean perturbation with mean
     absolute value close to pair_diff_mean. Lengths are drawn as floats, so
-    max_len is at most 2**53; std_src and pair_diff_mean lie in [0, max_len].
+    max_len is at most 2**53; pair_diff_mean lies in [0, max_len] and std_src
+    in [0, sqrt((mean_src - 1)(max_len - mean_src))], the Bhatia-Davis bound:
+    no lengths in [1, max_len] with mean mean_src have a larger std.
     """
 
     n: int
@@ -203,11 +205,13 @@ class SynthParams:
         if not 1 <= self.max_len <= 2**53:
             raise ValueError(f"max_len must be in [1, 2**53] (lengths are drawn as floats), got {self.max_len}")
         if not 1.0 <= self.mean_src <= self.max_len:
+            raise ValueError(f"infeasible params: mean_src={self.mean_src} outside [1, max_len={self.max_len}]")
+        bound = math.sqrt((self.mean_src - 1) * (self.max_len - self.mean_src))
+        if not 0 <= self.std_src <= bound:
             raise ValueError(
-                f"infeasible params: mean_src={self.mean_src} outside [1, max_len={self.max_len}]"
+                f"infeasible params: std_src={self.std_src} outside [0, sqrt((mean_src - 1)(max_len - mean_src))"
+                f" = {bound}] for mean_src={self.mean_src}, max_len={self.max_len}"
             )
-        if not 0 <= self.std_src <= self.max_len:
-            raise ValueError(f"infeasible params: std_src={self.std_src} outside [0, max_len={self.max_len}]")
         if not 0 <= self.pair_diff_mean <= self.max_len:
             raise ValueError(
                 f"infeasible params: pair_diff_mean={self.pair_diff_mean} outside [0, max_len={self.max_len}]"

@@ -353,6 +353,13 @@ def test_simulate_bad_setting_exits_before_reading_input(
     assert list(tmp_path.iterdir()) == [corpus_file]
 
 
+@pytest.mark.parametrize("empty", ["k_values", "seeds"])
+def test_sweep_spec_refuses_no_k_values_or_no_seeds(empty, corpus_file, tmp_path):
+    settings = dict(m=4, k_values=(1,), seeds=(0,), out_dir=tmp_path / "sweep", source=corpus_file)
+    with pytest.raises(ValueError, match=f"{empty} must be nonempty"):
+        SweepSpec(**{**settings, empty: ()})
+
+
 def test_sweep_shuffles_once_per_seed_and_epoch(corpus_file, tmp_path, monkeypatch):
     """Every k of a seed batches the same epoch shuffles: 2 seeds x 2 epochs
     is 4 shuffles, not one per (k, seed, epoch)."""
@@ -365,7 +372,7 @@ def test_sweep_shuffles_once_per_seed_and_epoch(corpus_file, tmp_path, monkeypat
 
     monkeypatch.setattr(batcher, "shuffle", counted)
     common = dict(m=4, k_values=(1, 3, "all"), seeds=(0, 1), epochs=2)
-    run_sweep(SweepSpec(out_dir=tmp_path / "sweep", corpus_path=corpus_file, **common))
+    run_sweep(SweepSpec(out_dir=tmp_path / "sweep", source=corpus_file, **common))
     assert sorted(calls) == sorted(batcher.epoch_shuffle_seed(seed, epoch) for seed in (0, 1) for epoch in (0, 1))
 
 
@@ -527,6 +534,22 @@ def test_report_merges_separate_run_dirs(corpus_file, tmp_path, capsys):
     assert len(lines) == 3  # header + unsorted + k=5
     assert lines[1].startswith("unsorted,1,")
     assert lines[2].startswith("partial_sort,5,")
+
+
+@pytest.mark.parametrize("leftover", [".sweep.999.tmp", ".sweep.999.old"])
+def test_report_skips_a_killed_runs_hidden_siblings(leftover, corpus_file, tmp_path, capsys):
+    """A killed simulate may leave its stage, or the sweep it was replacing,
+    as a hidden sibling of --out; report over the parent reads neither."""
+    runs = tmp_path / "runs"
+    out = runs / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "3"), seeds=("0",)), capsys)
+    shutil.copytree(out, runs / leftover)
+    code, stdout, err = run(["report", str(runs), "--format", "csv"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert stdout == (out / "comparison.csv").read_text(encoding="utf-8")
+    for given in (runs / leftover, runs / leftover / "run_k1_seed0" / "report.json"):  # named, it is read
+        code, stdout, _ = run(["report", str(given), "--format", "csv"], capsys)
+        assert code == EXIT_OK and stdout.count("\n") == (3 if given.is_dir() else 2)
 
 
 def test_report_orders_rows_k_ascending_full_sort_last(corpus_file, tmp_path, capsys):
@@ -701,9 +724,9 @@ def test_simulate_makes_no_per_pair_objects(corpus_file, tmp_path, monkeypatch):
 
     monkeypatch.setattr(SentencePair, "__post_init__", refuse)
     common = dict(m=4, k_values=(1, 3, "all"), seeds=(0, 1), epochs=2)
-    run_sweep(SweepSpec(out_dir=tmp_path / "file", corpus_path=corpus_file, **common))
+    run_sweep(SweepSpec(out_dir=tmp_path / "file", source=corpus_file, **common))
     synth = SynthParams(n=300, mean_src=10, std_src=3, max_len=50, pair_diff_mean=1.0)
-    run_sweep(SweepSpec(out_dir=tmp_path / "synth", synth=synth, **common))
+    run_sweep(SweepSpec(out_dir=tmp_path / "synth", source=synth, **common))
     assert (tmp_path / "synth" / "comparison.csv").exists()
 
 

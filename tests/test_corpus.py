@@ -96,6 +96,16 @@ def test_corpus_rejects_columns_that_are_not_integers(columns, name):
         Corpus(*columns)
 
 
+@pytest.mark.parametrize(
+    "columns",
+    [([0, 1], [1], [1, 2]), ([[0]], [[1]], [[1]])],
+    ids=["unequal_length", "two_dimensional"],
+)
+def test_corpus_refuses_columns_of_unequal_shape(columns):
+    with pytest.raises(ValueError, match="one-dimensional and of equal length"):
+        Corpus(*columns)
+
+
 def test_corpus_accepts_empty_and_narrow_integer_columns():
     assert len(Corpus((), (), ())) == 0
     corpus = Corpus(np.array([1, 0], dtype=np.uint8), np.array([2, 3], dtype=np.int16), [4, 5])
@@ -159,6 +169,13 @@ def test_load_parallel_tsv_counts_whitespace_tokens(tmp_path):
     corpus = load_corpus(path, fmt=PARALLEL_TSV)
     pair = corpus.pairs[0]
     assert (pair.src_len, pair.tgt_len) == (3, 2)
+
+
+def test_load_parallel_tsv_rejects_an_empty_side(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("a b\tc\nd e\t \n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="line 2: empty source or target sentence"):
+        load_corpus(path, fmt=PARALLEL_TSV)
 
 
 def test_load_rejects_nonpositive_length(tmp_path):
@@ -375,6 +392,11 @@ def test_filter_idempotent(corpus, limit):
 # ---------------------------------------------------------------------------
 
 
+def test_shuffle_refuses_an_empty_corpus():
+    with pytest.raises(ValueError, match="empty corpus"):
+        shuffle(Corpus((), (), ()), 0)
+
+
 def test_shuffle_single_pair_identity():
     corpus = make_corpus([5])
     assert shuffle(corpus, 123).pairs == corpus.pairs
@@ -486,9 +508,11 @@ def test_synth_params_validation():
         ("std_src", math.nan),
         ("std_src", math.inf),
         ("std_src", 11.0),
+        ("std_src", 4.5),  # above sqrt((5 - 1)(10 - 5)) = 4.472..., the Bhatia-Davis bound
         ("pair_diff_mean", math.nan),
         ("pair_diff_mean", 1e308),
         ("max_len", 2**53 + 1),
+        ("seed", -1),
     ],
 )
 def test_synth_params_reject_values_outside_their_range(field, value):

@@ -252,6 +252,12 @@ def test_k1_cycles_are_single_batches_scoring_one():
     assert report.cycle_score == 1.0
 
 
+def test_cycle_analysis_rejects_an_empty_stream():
+    config = BatchPlanConfig(m=2, k=2, policy=PARTIAL_SORT, seed=0)
+    with pytest.raises(ValueError, match="empty batch stream"):
+        cycle_analysis([], config)
+
+
 def test_cycle_analysis_rejects_other_policies():
     corpus = make_corpus([1, 2, 3, 4])
     config = BatchPlanConfig(m=2, k=1, policy=UNSORTED, seed=0)
