@@ -91,9 +91,9 @@ class Corpus:
     (`np.min_scalar_type`, uint8 for lengths up to 255), so a gather or sort
     of a length column moves no more bytes than its values need. Sums and
     products of lengths are taken in int64. `pairs`, a SentencePair view
-    (iterate it, not the corpus), `lengths_tsv`, the canonical text, and
-    `id_text`, the text of each id that write_batches_jsonl gathers, are
-    built on first use. A column already in its stored dtype is used
+    (iterate it, not the corpus), `lengths_tsv`, the canonical text one `%`
+    format renders, and `id_text`, the id digits write_batches_jsonl gathers,
+    are built on first use. A column already in its stored dtype is used
     without a copy, so the caller must not write to it afterwards.
     """
 
@@ -134,10 +134,7 @@ class Corpus:
         """Canonical interchange serialization: one `src_len\\ttgt_len` line per
         pair. load_corpus sets it to the file's own text when that text is
         already canonical."""
-        n = len(self)
-        tab, newline = (np.full((n, 1), ord(c), dtype=np.uint8) for c in "\t\n")
-        text = np.concatenate((_decimal_digits(self.src)[0], tab, _decimal_digits(self.tgt)[0], newline), axis=1)
-        return text.tobytes().translate(None, b"\0").decode("ascii")
+        return "%d\t%d\n" * len(self) % tuple(np.column_stack((self.src, self.tgt)).ravel().tolist())
 
     @cached_property
     def id_text(self) -> tuple[np.ndarray, np.ndarray]:
@@ -310,28 +307,10 @@ def write_lengths_tsv(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(corpus.lengths_tsv, encoding="utf-8")
 
 
-def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The decimal text of each value >= 0 as one uint8 row, ASCII digits
-    right-aligned with NUL for leading zeros, as wide as the largest value;
-    and the number of digits of each value as uint8."""
-    top = int(values.max(initial=0))
-    magnitude = values.astype(np.min_scalar_type(top), copy=False)  # narrower types divide faster
-    width = len(str(top))
-    digits = np.zeros((len(values), width), dtype=np.uint8)
-    counts = np.zeros(len(values), dtype=np.uint8)
-    for column in range(width - 1, -1, -1):
-        shown = (magnitude > 0) | (column == width - 1)
-        quotient = magnitude // 10
-        digits[:, column] = np.where(shown, magnitude - quotient * 10 + ord("0"), 0)
-        counts += shown
-        magnitude = quotient
-    return digits, counts
-
-
 def _counting_digits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_decimal_digits(np.arange(n)) without a division: at place j the
-    digits of 0..n-1 run through '0'..'9', each repeated 10**j times, so each
-    column is one tiled run, NUL where the place is a leading zero."""
+    """Decimal text of 0..n-1 as uint8 rows of ASCII digits, NUL-padded on the
+    left to the width of n-1, and digit counts as uint8. No division: place j
+    of 0..n-1 runs through '0'..'9', each 10**j times, one tiled run a column."""
     top = max(n - 1, 0)
     width = len(str(top))
     digits = np.zeros((n, width), dtype=np.uint8)

@@ -235,6 +235,8 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
     omitted and the comparison is flagged.
     All reports must describe runs over the same corpus, batch size, epoch
     count and drop_last setting, and no two the same (policy, k, seed) cell.
+    A report whose corpus_hash is None counts as a corpus of its own: it
+    merges only with reports that lack a hash too.
     """
     if not reports:
         raise ValueError("cannot compare an empty report list")
@@ -243,7 +245,7 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
         values = sorted({getattr(r.config, attr) for r in reports})
         if len(values) > 1:
             raise ValueError(f"reports mix {label} {values[0]} and {values[1]}")
-    hashes = sorted({r.corpus_hash for r in reports if r.corpus_hash is not None})
+    hashes = sorted({r.corpus_hash for r in reports}, key=str)
     if len(hashes) > 1:
         raise ValueError(f"reports mix corpus hashes {hashes[0]} and {hashes[1]}")
 
@@ -272,7 +274,7 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
         ]
     return CostComparison(
         m=reports[0].config.m,
-        corpus_hash=hashes[0] if hashes else None,
+        corpus_hash=hashes[0],
         rows=tuple(rows),
         baseline_missing=baseline is None,
     )

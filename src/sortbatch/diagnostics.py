@@ -162,18 +162,18 @@ def cycle_analysis(batches: Sequence[Batch], config: BatchPlanConfig) -> CycleRe
 
     Refills top the buffer up to m*k and every batch pops m, so cycles are
     consecutive runs of k batches within an epoch; the final cycle of an
-    epoch may be shorter. cycle_score is the fraction of cycles whose
-    padded_src sequence is non-decreasing.
+    epoch may be shorter. A cycle opens at the first batch and at each batch
+    whose iteration (its position in its epoch) is a multiple of k.
+    cycle_score is the fraction of cycles whose padded_src is non-decreasing.
     """
     if config.policy != PARTIAL_SORT:
         raise ValueError(f"cycle analysis requires policy {PARTIAL_SORT!r}, got {config.policy!r}")
     if not batches:
         raise ValueError("cannot analyze an empty batch stream")
     stream = BatchStream.of(batches)
-    n, epoch, padded = len(stream), stream.epoch, stream.padded_src
-    epoch_starts = np.flatnonzero(np.diff(epoch, prepend=epoch[0] - 1))
-    position = np.arange(n) - np.repeat(epoch_starts, np.diff(epoch_starts, append=n))
-    starts = np.flatnonzero(position % min(config.k, n) == 0)
+    opens = stream.iteration % min(config.k, len(stream)) == 0  # k may not fit in int64
+    opens[0] = True  # a plain batch list may start mid-cycle
+    starts, padded = np.flatnonzero(opens), stream.padded_src
     no_drop = np.diff(padded, prepend=padded[0]) >= 0
     no_drop[starts] = True
     non_decreasing = int(np.count_nonzero(np.logical_and.reduceat(no_drop, starts)))

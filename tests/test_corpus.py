@@ -28,8 +28,7 @@ from sortbatch.corpus import (
     synth_generate,
     write_lengths_tsv,
 )
-from sortbatch import corpus as corpus_module
-from sortbatch.corpus import _ndtr, _ndtri
+from sortbatch.corpus import _fit_family, _ndtr, _ndtri
 
 from .helpers import corpora, make_corpus
 
@@ -229,17 +228,12 @@ def test_load_crlf_equals_lf(tmp_path):
     assert load_corpus(crlf).pairs == load_corpus(lf).pairs
 
 
-def test_canonical_file_is_its_own_lengths_tsv(tmp_path, monkeypatch):
+def test_canonical_file_is_its_own_lengths_tsv(tmp_path):
     text = "3\t4\n12\t1\n100\t99\n"
     path = tmp_path / "c.tsv"
     path.write_text(text, encoding="utf-8")
-
-    def render(values):
-        raise AssertionError("a canonical file was rendered again")
-
-    monkeypatch.setattr(corpus_module, "_decimal_digits", render)
     corpus = load_corpus(path)
-    assert corpus.lengths_tsv == text
+    assert vars(corpus)["lengths_tsv"] == text  # kept by load_corpus, not rendered again
     assert corpus_hash(corpus) == hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -523,6 +517,45 @@ def test_synth_params_reject_values_outside_their_range(field, value):
 def test_synth_spread_below_float_resolution_gives_constant_lengths():
     corpus = synth_generate(SynthParams(n=50, mean_src=3.0, std_src=1e-300, max_len=10))
     assert set(corpus.src.tolist()) == {3}
+
+
+@pytest.mark.parametrize(
+    "dist, mean, std, cap, outcome",
+    [
+        (LOGNORMAL, 1.229605031277024, 0.4186226917507899, 2, "start_fit"),
+        (LOGNORMAL, 5.817438999439837, 3.242584537474942, 8, "start_fit"),
+        (LOGNORMAL, 24604251786.32287, 52103526589.37669, 147222040549, "start_fit"),
+        (LOGNORMAL, 1.0832341378038979, 8.526324164907408e-07, 2, "start_fit"),
+        (LOGNORMAL, 320523786323.2271, 1676877.854103137, 320523786332, "start_fit"),
+        (LOGNORMAL, 22759443540509.152, 11118109254868.217, 29798638204297, "start_fit"),
+        (LOGNORMAL, 69763559.69810042, 3.4994666379749026e-12, 72764759, "constant"),
+        (NORMAL, 2.992521249248548, 0.007356822734655644, 3, "constant"),
+    ],
+    ids=[
+        "mass_and_scale_underflow",
+        "log_scale_overflow",
+        "nudged_residual_not_finite",
+        "singular_jacobian",
+        "halvings_exhausted",
+        "steps_never_settle",
+        "scale_not_finite",
+        "cdf_range_too_narrow",
+    ],
+)
+def test_synth_fallback_exits_inside_the_bound(dist, mean, std, cap, outcome):
+    """Requests that SynthParams admits but that leave the fit or the sampler
+    through a fallback: the fit returns the untruncated start point, or the
+    sampler gives every pair one length."""
+    params = SynthParams(n=2000, mean_src=mean, std_src=std, max_len=cap, length_dist=dist)
+    if outcome == "constant":
+        assert len(np.unique(synth_generate(params).src)) == 1
+        return
+    if dist == LOGNORMAL:
+        s2 = math.log(1.0 + (std / mean) ** 2)
+        start = (math.log(mean) - 0.5 * s2, math.sqrt(s2))
+    else:
+        start = (mean, std)
+    assert _fit_family(dist, mean, std, 1.0, float(cap)) == start
 
 
 def test_synth_degenerate_constant():

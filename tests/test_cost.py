@@ -296,10 +296,11 @@ def test_mixed_epochs_or_drop_last_rejected(field, value):
 
 
 def test_mixed_corpus_hash_rejected():
-    a = _report(UNSORTED, 1, 0, [batch_of([1, 2])], digest="aaa")
-    b = _report(PARTIAL_SORT, 2, 0, [batch_of([1, 2])], digest="bbb")
-    with pytest.raises(ValueError, match="hash"):
-        compare_costs([a, b])
+    for first, second in [("aaa", "bbb"), ("aaa", None)]:  # a missing hash is not a wildcard
+        a = _report(UNSORTED, 1, 0, [batch_of([1, 2])], digest=first)
+        b = _report(PARTIAL_SORT, 2, 0, [batch_of([1, 2])], digest=second)
+        with pytest.raises(ValueError, match="hash"):
+            compare_costs([a, b])
 
 
 def test_compare_rejects_empty():

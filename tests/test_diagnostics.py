@@ -252,6 +252,18 @@ def test_k1_cycles_are_single_batches_scoring_one():
     assert report.cycle_score == 1.0
 
 
+def test_cycles_start_at_iterations_that_are_multiples_of_k():
+    # A plain batch list cut mid-cycle: its first batch opens a cycle too.
+    batches = [batch_of([s], iteration=i) for s, i in [(5, 1), (3, 2), (2, 3), (4, 4)]]
+    config = BatchPlanConfig(m=1, k=2, policy=PARTIAL_SORT)
+    assert cycle_analysis(batches, config) == CycleReport(cycle_score=2 / 3, n_cycles=3)
+
+
+def test_a_k_beyond_int64_makes_one_cycle_per_epoch():
+    config = BatchPlanConfig(m=2, k=10**20, policy=PARTIAL_SORT, seed=0, epochs=2)
+    assert cycle_analysis(run_epochs(make_corpus([3, 1, 4, 1, 5]), config), config).n_cycles == 2
+
+
 def test_cycle_analysis_rejects_an_empty_stream():
     config = BatchPlanConfig(m=2, k=2, policy=PARTIAL_SORT, seed=0)
     with pytest.raises(ValueError, match="empty batch stream"):
