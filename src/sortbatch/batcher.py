@@ -21,6 +21,7 @@ BatchStream of integer columns, not as per-pair objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -113,9 +114,9 @@ class BatchStream(Sequence[Batch]):
     were gathered from, so sums over them are taken in int64 (length_sums).
     Per batch, in int64: padded_src/padded_tgt are the member maxima, epoch
     and iteration its position. corpus is the corpus the pairs were cut from,
-    which run_epochs sets and write_batches_jsonl requires: each id is a row
-    of it, so the writer gathers the text of the ids from its cached
-    corpus.id_text; BatchStream.of leaves it None. Indexing and
+    which run_epochs sets and write_batches_jsonl requires: its ids are
+    0..n-1, so the writer gathers the text of each id from one cached table
+    of n rows; BatchStream.of leaves it None. Indexing and
     iteration build Batch values whose pairs, a tuple of SentencePair, are
     made when the batch is indexed.
     """
@@ -255,8 +256,10 @@ def run_epochs(
 #: One batches.jsonl line; the bytes json.dumps(batch_record(batch)) + "\n" gives.
 _LINE = b'{"epoch": %d, "iteration": %d, "ids": [%b], "padded_src": %d, "padded_tgt": %d}\n'
 
-#: Pairs rendered per write (whole batches, at least one), which bounds the
-#: gathered id text to about 1.5 MB.
+#: Pairs rendered per write (whole batches, at least one). A chunk's gathered
+#: rows, their text and the pieces split from it take at most 9 bytes a pair
+#: each below 10**7 ids, about 0.6 MB; tracemalloc peaks per chunk, lines
+#: included, were 2.5 MB at m=64 and 27 MB at m=1 (a bytes object per line).
 _CHUNK_PAIRS = 1 << 16
 
 
@@ -271,32 +274,50 @@ def batch_record(batch: Batch) -> dict:
     }
 
 
+@lru_cache(maxsize=1)
+def _id_text(n: int) -> np.ndarray:
+    """Read-only table whose row i is the JSON-list text `"{i}, "` of id i,
+    right-aligned with NUL in a bytes dtype as wide as the text of id n-1, so
+    a gather copies whole rows. No division: place j of 0..n-1 runs through
+    '0'..'9', each 10**j times, one tiled run a column."""
+    top = max(n - 1, 0)
+    width = len(str(top))
+    text = np.zeros((n, width + 2), dtype=np.uint8)
+    text[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for place in range(width):
+        step = 10**place
+        run = np.repeat(ascii_digits[: top // step + 1], step)  # at most 10 digits, the ones 0..top reach
+        text[:, width - 1 - place] = np.tile(run, -(-n // len(run)))[:n]
+        if place:
+            text[:step, width - 1 - place] = 0
+    table = text.view(f"S{width + 2}").ravel()
+    table.setflags(write=False)
+    return table
+
+
 def write_batches_jsonl(stream: BatchStream, path: str | Path) -> None:
     """One line per batch of a run_epochs stream, byte for byte
     json.dumps(batch_record(batch)) + "\n".
 
-    Row i of the stream corpus's cached Corpus.id_text is the text of id i,
-    so ids are rendered by gathering rows of it: each id is converted to text
-    once per corpus, not once per run. Raises ValueError on anything but a
-    BatchStream whose corpus is set, as run_epochs returns it.
+    The stream corpus's ids are 0..n-1, so each chunk of whole batches
+    gathers the rows of its ids from _id_text(n), which a sweep builds once;
+    the ", " after each batch's last id becomes a newline, and dropping the
+    NULs and splitting at the newlines gives each batch's id list. Raises
+    ValueError on anything but a BatchStream whose corpus is set.
     """
     if not isinstance(stream, BatchStream) or stream.corpus is None:
         raise ValueError("write_batches_jsonl takes the BatchStream of run_epochs, which records its corpus")
-    text, lengths = stream.corpus.id_text
-    starts, sizes = stream.starts, stream.sizes
-    ends = starts + sizes
-    records = list(zip(*(c.tolist() for c in (stream.epoch, stream.iteration, stream.padded_src, stream.padded_tgt))))
-    step = max(1, _CHUNK_PAIRS // int(sizes.max(initial=1)))
+    table = _id_text(len(stream.corpus))
+    ends = stream.starts + stream.sizes
+    columns = stream.epoch, stream.iteration, stream.padded_src, stream.padded_tgt
+    step = max(1, _CHUNK_PAIRS // int(stream.sizes.max(initial=1)))
     with open(path, "wb") as handle:
         for b in range(0, len(stream), step):
             e = min(b + step, len(stream))
-            lo, hi = starts[b], ends[e - 1]
-            rows = stream.ids[lo:hi]
-            ids_text = text[rows].tobytes().translate(None, b"\0")
-            offsets = np.concatenate(([0], np.cumsum(lengths[rows], dtype=np.int64)))
-            # Each batch's span of ids_text, less the ", " after its last id.
-            spans = zip(offsets[starts[b:e] - lo].tolist(), (offsets[ends[b:e] - lo] - 2).tolist())
-            handle.write(b"".join(
-                _LINE % (epoch, iteration, ids_text[s:t], src, tgt)
-                for (epoch, iteration, src, tgt), (s, t) in zip(records[b:e], spans)
-            ))
+            lo = stream.starts[b]
+            gathered = table[stream.ids[lo : ends[e - 1]]].view(np.uint8).reshape(-1, table.itemsize)
+            gathered[ends[b:e] - lo - 1, -2:] = np.frombuffer(b"\n\0", dtype=np.uint8)
+            pieces = gathered.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+            epoch, iteration, src, tgt = (column[b:e].tolist() for column in columns)
+            handle.write(b"".join(map(_LINE.__mod__, zip(epoch, iteration, pieces, src, tgt, strict=True))))

@@ -235,7 +235,8 @@ def _publish(stage: Path, out: Path) -> None:
 
 
 def collect_reports(paths: Sequence[Path]) -> list[RunReport]:
-    """Load every report.json at or below the given paths, in sorted order.
+    """Load every report.json at or below the given paths in sorted order, a
+    file that several paths reach once, as the first of them spells it.
     Under a directory, hidden directories are skipped: a killed simulate may
     leave its stage (.NAME.PID.tmp) or the sweep it replaced (.NAME.PID.old)."""
     found: list[Path] = []
@@ -247,7 +248,7 @@ def collect_reports(paths: Sequence[Path]) -> list[RunReport]:
             found.extend(p for p in reports if not any(part.startswith(".") for part in p.relative_to(path).parts))
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
-    found = sorted(set(found), key=str)
+    found = sorted({p.resolve(): p for p in reversed(found)}.values(), key=str)
     if not found:
         raise ValueError(f"no report.json found under: {', '.join(map(str, paths))}")
     return [read_report_json(p) for p in found]

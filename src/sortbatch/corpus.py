@@ -91,9 +91,8 @@ class Corpus:
     (`np.min_scalar_type`, uint8 for lengths up to 255), so a gather or sort
     of a length column moves no more bytes than its values need. Sums and
     products of lengths are taken in int64. `pairs`, a SentencePair view
-    (iterate it, not the corpus), `lengths_tsv`, the canonical text one `%`
-    format renders, and `id_text`, the id digits write_batches_jsonl gathers,
-    are built on first use. A column already in its stored dtype is used
+    (iterate it, not the corpus), and `lengths_tsv`, the canonical text, are
+    built on first use. A column already in its stored dtype is used
     without a copy, so the caller must not write to it afterwards.
     """
 
@@ -135,21 +134,6 @@ class Corpus:
         pair. load_corpus sets it to the file's own text when that text is
         already canonical."""
         return "%d\t%d\n" * len(self) % tuple(np.column_stack((self.src, self.tgt)).ravel().tolist())
-
-    @cached_property
-    def id_text(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row i is the JSON-list text `"{i}, "` of id i, its digits
-        right-aligned with NUL for leading zeros, in a bytes dtype as wide as
-        the text of id n-1 (so a gather copies whole rows); and the length of
-        each text as uint8. Dropping the NULs leaves the text."""
-        digits, counts = _counting_digits(len(self))
-        text = np.zeros((len(digits), digits.shape[1] + 2), dtype=np.uint8)
-        text[:, :-2] = digits
-        text[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
-        table = text.view(f"S{text.shape[1]}").ravel(), counts + 2
-        for column in table:
-            column.setflags(write=False)
-        return table
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -305,25 +289,6 @@ def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple[int
 
 def write_lengths_tsv(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(corpus.lengths_tsv, encoding="utf-8")
-
-
-def _counting_digits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decimal text of 0..n-1 as uint8 rows of ASCII digits, NUL-padded on the
-    left to the width of n-1, and digit counts as uint8. No division: place j
-    of 0..n-1 runs through '0'..'9', each 10**j times, one tiled run a column."""
-    top = max(n - 1, 0)
-    width = len(str(top))
-    digits = np.zeros((n, width), dtype=np.uint8)
-    counts = np.ones(n, dtype=np.uint8)
-    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    for place in range(width):
-        step = 10**place
-        run = np.repeat(ascii_digits[: top // step + 1], step)  # at most 10 digits, the ones 0..top reach
-        digits[:, width - 1 - place] = np.tile(run, -(-n // len(run)))[:n]
-        if place:
-            digits[:step, width - 1 - place] = 0
-            counts[step:] += 1
-    return digits, counts
 
 
 def corpus_hash(corpus: Corpus) -> str:

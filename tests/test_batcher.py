@@ -472,6 +472,21 @@ def test_batches_jsonl_bytes_equal_json_dumps(tmp_path_factory, data):
     assert path.read_bytes() == "".join(json.dumps(batch_record(b)) + "\n" for b in stream).encode()
 
 
+@pytest.mark.parametrize("chunk", [1, 50, batcher._CHUNK_PAIRS])
+@pytest.mark.parametrize("drop_last", [False, True])
+@pytest.mark.parametrize("m", [1, 7, 64])
+def test_batches_jsonl_bytes_over_ids_of_every_digit_width(tmp_path, m, drop_last, chunk):
+    """12,345 pairs: ids of 1 to 5 digits, so id-table rows of 3 to 7 bytes
+    meet at batch ends and at chunk ends."""
+    n = 12_345
+    lengths = np.random.default_rng(0).integers(1, 60, size=(2, n))
+    stream = run_epochs(Corpus(np.arange(n), *lengths), BatchPlanConfig(m=m, k=3, epochs=2, drop_last=drop_last))
+    path = tmp_path / "batches.jsonl"
+    with mock.patch.object(batcher, "_CHUNK_PAIRS", chunk):
+        write_batches_jsonl(stream, path)
+    assert path.read_bytes() == "".join(json.dumps(batch_record(b)) + "\n" for b in stream).encode()
+
+
 def test_batches_jsonl_refuses_plain_batches(tmp_path):
     """Plain batches record no corpus to gather id text from, as a list or as
     BatchStream.of one; the writer refuses both before it creates the file."""

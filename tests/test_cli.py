@@ -700,6 +700,18 @@ def test_report_same_run_twice_is_data_error(corpus_file, tmp_path, capsys):
     assert "seed=0" in err
 
 
+def test_report_reads_a_file_reached_by_several_spellings_once(corpus_file, tmp_path, capsys, monkeypatch):
+    """Relative, absolute and symlinked paths to one sweep, and one of its
+    report.json files, are read as the sweep alone."""
+    monkeypatch.chdir(tmp_path)
+    run(simulate_args(corpus_file, "sweep", k=("1", "3"), seeds=("0", "1")), capsys)
+    (tmp_path / "alias").symlink_to("sweep", target_is_directory=True)
+    spellings = ["sweep", str(tmp_path / "sweep"), "alias", "alias/run_k1_seed0/report.json"]
+    code, stdout, err = run(["report", *spellings, "--format", "csv"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert stdout == (tmp_path / "sweep" / "comparison.csv").read_text(encoding="utf-8")
+
+
 def test_missing_baseline_noted_on_stderr(corpus_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     code, _, err = run(simulate_args(corpus_file, out, k=("3",), seeds=("0",)), capsys)

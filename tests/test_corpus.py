@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sortbatch import batcher
 from sortbatch.corpus import (
     LOGNORMAL,
     NORMAL,
@@ -61,23 +62,15 @@ def test_corpus_ids_must_be_the_lines_0_to_n(ids):
         Corpus(ids, [1, 1], [1, 1])
 
 
-def test_id_text_rows_run_from_the_smallest_contiguous_id():
-    corpus = Corpus([2, 0, 1] + list(range(3, 11)), [1] * 11, [1] * 11)
-    text, lengths = corpus.id_text
-    assert [row.replace(b"\0", b"") for row in text.tolist()] == [f"{i}, ".encode() for i in range(11)]
-    assert lengths.tolist() == [3] * 10 + [4]
-    assert not (text.flags.writeable or lengths.flags.writeable)
-
-
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 1000, 100_001, 1_000_001])
 def test_id_text_is_the_table_of_0_to_n(n):
-    """Row i is f"{i}, " right-aligned with NUL to the width of the text of n - 1."""
-    ones = np.ones(n, dtype=np.uint8)
-    text, lengths = Corpus(np.arange(n), ones, ones).id_text
+    """Row i of the table write_batches_jsonl gathers from is f"{i}, "
+    right-aligned with NUL to the width of the text of n - 1."""
+    text = batcher._id_text(n)
     width = len(f"{n - 1}, ")
-    assert (text.dtype, lengths.dtype) == (np.dtype(f"S{width}"), np.uint8)
+    assert text.dtype == np.dtype(f"S{width}")
     assert text.tobytes() == b"".join(f"{i}, ".encode().rjust(width, b"\0") for i in range(n))
-    assert lengths.tolist() == [len(f"{i}, ") for i in range(n)]
+    assert not text.flags.writeable
 
 
 @pytest.mark.parametrize(
