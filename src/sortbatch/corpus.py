@@ -224,7 +224,10 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
     if fmt not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}, expected one of {CORPUS_FORMATS}")
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     plain = _plain_lengths(text) if fmt == LENGTHS_TSV else None
     if plain is not None and plain[0].min() >= 1:
         lengths, canonical = plain
@@ -240,6 +243,20 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
     rows = [_parse_line(line, fmt, path, lineno) for lineno, line in enumerate(lines, start=1)]
     src, tgt = zip(*rows)
     return Corpus(np.arange(len(rows)), src, tgt)
+
+
+def _not_utf8(path: str | Path) -> CorpusFormatError:
+    """The error for a file that does not decode as UTF-8, naming the line of
+    its first bad byte as universal-newline reading counts lines. The reader
+    decodes in chunks, so the byte offset comes from one decode of the file."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return CorpusFormatError(f"{path}: line {lineno}: not UTF-8 text")
+    return CorpusFormatError(f"{path}: not UTF-8 text")
 
 
 def _plain_lengths(text: str) -> tuple[np.ndarray, bool] | None:

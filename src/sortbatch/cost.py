@@ -17,16 +17,17 @@ reports carry avg_definition metadata naming that convention.
 
 A RunReport (and its report.json) holds only these run aggregates. One batch's
 costs are cost_of_batch(stream[b]), or rebuilt from batches.jsonl and corpus.tsv.
-A comparison row's k is batcher.k_label of its config ("all" for full_sort).
-A comparison column is one _CELL_COLUMNS entry plus its ComparisonRow field:
-the entry names the RunReport field averaged over a cell's seeds and the
-ratio column, if any, that divides it by the unsorted row.
+A comparison row is a dict keyed by column name in comparison.csv order:
+policy, k (batcher.k_label of its config, "all" for full_sort), runs, then one
+mean per _CELL_COLUMNS entry, then their ratio columns. Each entry names its
+column, the RunReport field averaged over a cell's seeds and the ratio column,
+if any, that divides it by the unsorted row.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -45,7 +46,6 @@ __all__ = [
     "AVG_DEFINITION",
     "BatchCost",
     "RunReport",
-    "ComparisonRow",
     "CostComparison",
     "cost_of_batch",
     "summarize_run",
@@ -180,30 +180,8 @@ def summarize_run(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One policy/k cell averaged over its seeds; ratios are vs unsorted."""
-
-    policy: str
-    k_label: str
-    n_runs: int
-    avg_padded_src: float
-    avg_padded_tgt: float
-    waste_src: float
-    waste_tgt: float
-    linear_cost: float
-    quadratic_cost: float
-    cross_cost: float
-    ratio_avg_src: float | None = None
-    ratio_avg_tgt: float | None = None
-    ratio_waste_src: float | None = None
-    ratio_waste_tgt: float | None = None
-    ratio_linear: float | None = None
-    ratio_quadratic: float | None = None
-
-
-#: (ComparisonRow column, the RunReport field it averages over a cell's seeds,
-#: its ComparisonRow ratio against the unsorted row or None), in csv order.
+#: (comparison column, the RunReport field it averages over a cell's seeds,
+#: its ratio column against the unsorted row or None), in csv order.
 _CELL_COLUMNS = (
     ("avg_padded_src", "avg_padded_src", "ratio_avg_src"),
     ("avg_padded_tgt", "avg_padded_tgt", "ratio_avg_tgt"),
@@ -217,9 +195,11 @@ _CELL_COLUMNS = (
 
 @dataclass(frozen=True)
 class CostComparison:
+    """One row per policy/k cell; each row is a dict in comparison.csv column order."""
+
     m: int
     corpus_hash: str | None
-    rows: tuple[ComparisonRow, ...]
+    rows: tuple[dict, ...]
     baseline_missing: bool
 
 
@@ -255,33 +235,28 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
             raise ValueError(
                 f"two reports for policy={a.config.policy} k={k_label(a.config)} seed={a.config.seed}"
             )
-    rows = []
+    rows, baseline = [], {}
     for _, group in groupby(ordered, key=_group_key):
         cell = list(group)
         first = cell[0].config
         means = {column: float(np.mean([getattr(r, source) for r in cell])) for column, source, _ in _CELL_COLUMNS}
-        rows.append(ComparisonRow(policy=first.policy, k_label=k_label(first), n_runs=len(cell), **means))
-
-    baseline = next((row for row in rows if row.policy == UNSORTED), None)
-    if baseline is not None:
-        rows = [
-            replace(row, **{
-                ratio: _safe_ratio(getattr(row, column), getattr(baseline, column))
-                for column, _, ratio in _CELL_COLUMNS
-                if ratio is not None
-            })
-            for row in rows
-        ]
+        if first.policy == UNSORTED:  # the one unsorted cell ranks first
+            baseline = means
+        ratios = {
+            ratio: _safe_ratio(means[column], baseline.get(column)) for column, _, ratio in _CELL_COLUMNS if ratio
+        }
+        rows.append({"policy": first.policy, "k": k_label(first), "runs": len(cell), **means, **ratios})
     return CostComparison(
         m=reports[0].config.m,
         corpus_hash=hashes[0],
         rows=tuple(rows),
-        baseline_missing=baseline is None,
+        baseline_missing=not baseline,
     )
 
 
-def _safe_ratio(value: float, base: float) -> float | None:
-    return value / base if base != 0 else None
+def _safe_ratio(value: float, base: float | None) -> float | None:
+    """value / base, or None without a baseline or where it is 0."""
+    return value / base if base else None
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +321,6 @@ def read_report_json(path: str | Path) -> RunReport:
 # Table rendering
 # ---------------------------------------------------------------------------
 
-#: (column name in comparison.csv and comparison.json, ComparisonRow attribute)
-_COLUMNS = (
-    ("policy", "policy"),
-    ("k", "k_label"),
-    ("runs", "n_runs"),
-    *((f.name, f.name) for f in fields(ComparisonRow)[3:]),
-)
-
-
 def _fmt(value: float | int | str | None, spec: str = ".6f") -> str:
     if value is None:
         return ""
@@ -367,9 +333,9 @@ def _fmt(value: float | int | str | None, spec: str = ".6f") -> str:
 
 def comparison_to_csv(comparison: CostComparison) -> str:
     """Comparison table as CSV text; floats fixed to 6 decimals."""
-    lines = [",".join(column for column, _ in _COLUMNS)]
+    lines = [",".join(comparison.rows[0])]
     for row in comparison.rows:
-        lines.append(",".join(_fmt(getattr(row, attr)) for _, attr in _COLUMNS))
+        lines.append(",".join(map(_fmt, row.values())))
     return "\n".join(lines) + "\n"
 
 
@@ -380,11 +346,11 @@ def comparison_to_markdown(comparison: CostComparison) -> str:
     rule = "|---|---|---|---|---|---|"
     lines = [header, rule]
     for row in comparison.rows:
-        ratio_src = _fmt(row.ratio_avg_src, ".2f") or "-"
-        ratio_tgt = _fmt(row.ratio_avg_tgt, ".2f") or "-"
+        ratio_src = _fmt(row["ratio_avg_src"], ".2f") or "-"
+        ratio_tgt = _fmt(row["ratio_avg_tgt"], ".2f") or "-"
         lines.append(
-            f"| {row.policy} | {row.k_label} | {row.avg_padded_src:.2f}"
-            f" | {row.avg_padded_tgt:.2f} | {ratio_src} | {ratio_tgt} |"
+            f"| {row['policy']} | {row['k']} | {row['avg_padded_src']:.2f}"
+            f" | {row['avg_padded_tgt']:.2f} | {ratio_src} | {ratio_tgt} |"
         )
     if comparison.baseline_missing:
         lines.append("")
@@ -393,12 +359,11 @@ def comparison_to_markdown(comparison: CostComparison) -> str:
 
 
 def comparison_to_json(comparison: CostComparison) -> str:
-    rows = [{column: getattr(row, attr) for column, attr in _COLUMNS} for row in comparison.rows]
     payload = {
         "m": comparison.m,
         "corpus_hash": comparison.corpus_hash,
         "baseline_missing": comparison.baseline_missing,
-        "rows": rows,
+        "rows": list(comparison.rows),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

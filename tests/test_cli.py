@@ -230,6 +230,18 @@ def test_stats_malformed_file_is_data_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("command", ["stats", "simulate"])
+def test_non_utf8_corpus_error_names_the_file_and_line(command, tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"3\t4\n\xff5\t6\n")
+    argv = ["stats", str(path)] if command == "stats" else [
+        "simulate", "--corpus", str(path), "--m", "2", "--k", "1", "--out", str(tmp_path / "sweep")
+    ]
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_DATA
+    assert err == f"error: {path}: line 2: not UTF-8 text\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

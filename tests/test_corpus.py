@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from sortbatch import batcher
 from sortbatch.corpus import (
+    CORPUS_FORMATS,
     LOGNORMAL,
     NORMAL,
     PARALLEL_TSV,
@@ -212,6 +214,25 @@ def test_load_names_first_malformed_line(tmp_path, text, line):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CorpusFormatError, match=f"line {line}:"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"3\t4\n\xff5\t6\n", 2),
+        (b"\xff\t1\n", 1),
+        (b"3\t4\r\n5\t6\r\n7\t\xe2\x82", 3),  # CRLF lines, a cut multi-byte character at the end
+        (b"3\t4\r5\t6\r\xc3\x28\t1\r", 3),  # lone CR lines
+        (b"3\t4\n" * 5000 + b"1\t\xff\n", 5001),  # past the reader's first chunk
+    ],
+    ids=["lf", "first_line", "crlf_truncated", "cr", "late"],
+)
+def test_load_names_file_and_line_of_non_utf8_bytes(tmp_path, data, line):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(data)
+    for fmt in CORPUS_FORMATS:
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line {line}: not UTF-8 text$"):
+            load_corpus(path, fmt)
 
 
 def test_load_crlf_equals_lf(tmp_path):

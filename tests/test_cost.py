@@ -33,7 +33,7 @@ from sortbatch.cost import (
     summarize_run,
     write_report_json,
 )
-from sortbatch.cost import _CELL_COLUMNS, ComparisonRow, RunReport, _cost_columns
+from sortbatch.cost import _CELL_COLUMNS, RunReport, _cost_columns
 
 from .helpers import corpus_and_config, make_corpus, wide_byte_corpus
 
@@ -222,21 +222,21 @@ def test_ratio_against_unsorted_baseline():
     partial = _report(PARTIAL_SORT, 1000, 0, [batch_of([22, 22]), batch_of([23, 23], iteration=1)])
     comparison = compare_costs([unsorted, partial])
     assert not comparison.baseline_missing
-    rows = {row.policy: row for row in comparison.rows}
-    assert rows[UNSORTED].ratio_avg_src == 1.0
-    assert math.isclose(rows[PARTIAL_SORT].ratio_avg_src, 22.5 / 61.5)
+    rows = {row["policy"]: row for row in comparison.rows}
+    assert rows[UNSORTED]["ratio_avg_src"] == 1.0
+    assert math.isclose(rows[PARTIAL_SORT]["ratio_avg_src"], 22.5 / 61.5)
 
 
 def test_single_unsorted_report_has_unit_ratio():
     comparison = compare_costs([_report(UNSORTED, 1, 0, [batch_of([3, 4])])])
     assert len(comparison.rows) == 1
-    assert comparison.rows[0].ratio_avg_src == 1.0
+    assert comparison.rows[0]["ratio_avg_src"] == 1.0
 
 
 def test_missing_baseline_flags_and_omits_ratios():
     comparison = compare_costs([_report(PARTIAL_SORT, 5, 0, [batch_of([3, 4])])])
     assert comparison.baseline_missing
-    assert comparison.rows[0].ratio_avg_src is None
+    assert comparison.rows[0]["ratio_avg_src"] is None
 
 
 def test_zero_baseline_value_leaves_its_ratio_empty():
@@ -244,15 +244,15 @@ def test_zero_baseline_value_leaves_its_ratio_empty():
     partial = _report(PARTIAL_SORT, 3, 0, [batch_of([3, 4])])
     comparison = compare_costs([replace(unsorted, avg_padded_src=0.0, total_linear_cost=0.0), partial])
     row = comparison.rows[1]
-    assert (row.ratio_avg_src, row.ratio_linear) == (None, None)
-    assert math.isclose(row.ratio_avg_tgt, 1.0)
+    assert (row["ratio_avg_src"], row["ratio_linear"]) == (None, None)
+    assert math.isclose(row["ratio_avg_tgt"], 1.0)
 
 
 def test_identical_reports_ratio_one():
     a = _report(UNSORTED, 1, 0, [batch_of([4, 4])])
     b = _report(PARTIAL_SORT, 3, 0, [batch_of([4, 4])])
     comparison = compare_costs([a, b])
-    assert math.isclose(comparison.rows[1].ratio_avg_src, 1.0)
+    assert math.isclose(comparison.rows[1]["ratio_avg_src"], 1.0)
 
 
 def test_rows_grouped_and_ordered():
@@ -264,7 +264,7 @@ def test_rows_grouped_and_ordered():
         _report(UNSORTED, 1, 0, [batch_of([6, 6])]),
     ]
     comparison = compare_costs(reports)
-    assert [(r.policy, r.k_label, r.n_runs) for r in comparison.rows] == [
+    assert [(r["policy"], r["k"], r["runs"]) for r in comparison.rows] == [
         (UNSORTED, "1", 1),
         (PARTIAL_SORT, "100", 2),
         (PARTIAL_SORT, "250", 1),
@@ -309,11 +309,20 @@ def test_compare_rejects_empty():
 
 
 def test_cell_column_table_names_every_comparison_column_in_csv_order():
-    """The mean columns of _CELL_COLUMNS, then its ratio columns, are the
-    ComparisonRow fields after policy, k and runs; each averages a RunReport field."""
-    means = [column for column, _, _ in _CELL_COLUMNS]
-    ratios = [ratio for _, _, ratio in _CELL_COLUMNS if ratio is not None]
-    assert means + ratios == [f.name for f in fields(ComparisonRow)[3:]]
+    """Without an unsorted row the table still has all 16 columns in csv order,
+    its 6 ratio cells empty in csv and null in json; each mean averages a RunReport field."""
+    reports = [_report(PARTIAL_SORT, 5, 0, [batch_of([3, 4])]), _report(FULL_SORT, 1, 0, [batch_of([2, 2])])]
+    comparison = compare_costs(reports)
+    header, *lines = comparison_to_csv(comparison).splitlines()
+    assert header == (
+        "policy,k,runs,avg_padded_src,avg_padded_tgt,waste_src,waste_tgt,linear_cost,quadratic_cost,cross_cost,"
+        "ratio_avg_src,ratio_avg_tgt,ratio_waste_src,ratio_waste_tgt,ratio_linear,ratio_quadratic"
+    )
+    assert [line.split(",")[:3] for line in lines] == [["partial_sort", "5", "1"], ["full_sort", "all", "1"]]
+    assert [line.split(",")[10:] for line in lines] == [[""] * 6] * 2
+    ratios = header.split(",")[10:]
+    for row in json.loads(comparison_to_json(comparison))["rows"]:
+        assert [row[name] for name in ratios] == [None] * 6
     report_fields = {f.name for f in fields(RunReport)}
     assert [source for _, source, _ in _CELL_COLUMNS if source not in report_fields] == []
 
