@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import shutil
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -160,12 +161,13 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
     depend on that order, and the reports are returned k outer, seeds inner.
 
     Deterministic for a fixed spec. out_dir holds one sweep: it is written to
-    a hidden sibling, .{name}.{pid}.tmp, that replaces out_dir whole once
-    complete, so a failed call leaves out_dir as it was. An out_dir that is
-    a symlink is resolved first: the sweep replaces its target and the link
-    stays. FileExistsError refuses a non-directory, a non-empty directory
-    without sweep.json, and the working directory or an ancestor of it,
-    which the swap would delete.
+    a hidden sibling, .{name}.{pid}.{token}.tmp with a random token of its
+    own, that replaces out_dir whole once complete, so a failed call leaves
+    out_dir as it was, and a stage a killed call left behind under a reused
+    pid does not block the next. An out_dir that is a symlink is resolved
+    first: the sweep replaces its target and the link stays. FileExistsError
+    refuses a non-directory, a non-empty directory without sweep.json, and
+    the working directory or an ancestor of it, which the swap would delete.
     """
     out = Path(spec.out_dir).resolve()
     cwd = Path.cwd().resolve()
@@ -177,7 +179,7 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
     digest = corpus_hash(corpus)
 
     out.parent.mkdir(parents=True, exist_ok=True)
-    stage = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    stage = out.with_name(f".{out.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     stage.mkdir()  # not mkdtemp: its mode 0700 would become the mode of out_dir
     try:
         write_lengths_tsv(corpus, stage / "corpus.tsv")
@@ -238,7 +240,8 @@ def collect_reports(paths: Sequence[Path]) -> list[RunReport]:
     """Load every report.json at or below the given paths in sorted order, a
     file that several paths reach once, as the first of them spells it.
     Under a directory, hidden directories are skipped: a killed simulate may
-    leave its stage (.NAME.PID.tmp) or the sweep it replaced (.NAME.PID.old)."""
+    leave its stage (.NAME.PID.TOKEN.tmp) or the sweep it replaced
+    (.NAME.PID.TOKEN.old)."""
     found: list[Path] = []
     for path in paths:
         if path.is_file():

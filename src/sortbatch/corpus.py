@@ -5,8 +5,10 @@ lengths) with one row per sentence pair; no sentence text is kept. Lengths
 are whitespace-token counts (parallel-tsv) or precomputed integers
 (lengths-tsv). Ids are int64; each length column is narrowed once, when the
 Corpus is built, to the smallest unsigned type that holds its maximum, and
-every sum or product over lengths is taken in int64. A lengths-tsv file that
-is already canonical is kept as the corpus's lengths_tsv text.
+every sum or product over lengths is taken in int64. The canonical
+lengths-tsv serialization, lengths_tsv, is bytes: load_corpus reads each file
+once, as bytes, and keeps a file that is already canonical as it was read,
+so the bytes hashed are the bytes a corpus.tsv holds.
 A pair's id is its line in the corpus it was loaded or synthesised from,
 counted from 0, so the ids of n pairs are a permutation of 0..n-1.
 A corpus holds those three columns only: filter_max_len returns a plain
@@ -91,7 +93,7 @@ class Corpus:
     (`np.min_scalar_type`, uint8 for lengths up to 255), so a gather or sort
     of a length column moves no more bytes than its values need. Sums and
     products of lengths are taken in int64. `pairs`, a SentencePair view
-    (iterate it, not the corpus), and `lengths_tsv`, the canonical text, are
+    (iterate it, not the corpus), and `lengths_tsv`, the canonical bytes, are
     built on first use. A column already in its stored dtype is used
     without a copy, so the caller must not write to it afterwards.
     """
@@ -129,11 +131,11 @@ class Corpus:
         return tuple(SentencePair(*row) for row in rows)
 
     @cached_property
-    def lengths_tsv(self) -> str:
-        """Canonical interchange serialization: one `src_len\\ttgt_len` line per
-        pair. load_corpus sets it to the file's own text when that text is
-        already canonical."""
-        return "%d\t%d\n" * len(self) % tuple(np.column_stack((self.src, self.tgt)).ravel().tolist())
+    def lengths_tsv(self) -> bytes:
+        """Canonical interchange serialization, as bytes: one `src_len\\ttgt_len`
+        line per pair, in ASCII. load_corpus sets it to the bytes of the file
+        as read when they are already canonical."""
+        return b"%d\t%d\n" * len(self) % tuple(np.column_stack((self.src, self.tgt)).ravel().tolist())
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -223,18 +225,21 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
     """
     if fmt not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}, expected one of {CORPUS_FORMATS}")
-    with open(path, encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-    plain = _plain_lengths(text) if fmt == LENGTHS_TSV else None
+    data = Path(path).read_bytes()
+    if b"\r" in data:  # universal newlines, as text-mode reading translates them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    plain = _plain_lengths(data) if fmt == LENGTHS_TSV else None
     if plain is not None and plain[0].min() >= 1:
         lengths, canonical = plain
         corpus = Corpus(np.arange(len(lengths)), lengths[:, 0], lengths[:, 1])
-        if canonical:  # the file is already the text lengths_tsv would render
-            corpus.__dict__["lengths_tsv"] = text
+        if canonical:  # the file is already the bytes lengths_tsv would render
+            corpus.__dict__["lengths_tsv"] = data
         return corpus
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}: line {lineno}: not UTF-8 text") from None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -245,38 +250,24 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
     return Corpus(np.arange(len(rows)), src, tgt)
 
 
-def _not_utf8(path: str | Path) -> CorpusFormatError:
-    """The error for a file that does not decode as UTF-8, naming the line of
-    its first bad byte as universal-newline reading counts lines. The reader
-    decodes in chunks, so the byte offset comes from one decode of the file."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return CorpusFormatError(f"{path}: line {lineno}: not UTF-8 text")
-    return CorpusFormatError(f"{path}: not UTF-8 text")
-
-
-def _plain_lengths(text: str) -> tuple[np.ndarray, bool] | None:
-    """The (n, 2) lengths of a lengths-tsv text in which every line is two
-    ASCII integers of 1 to 18 digits joined by one tab, and whether the text
-    is canonical: it ends with a newline and no integer has a leading zero.
-    None for any other text, which the per-line path then reads or rejects."""
-    data = np.frombuffer(text.removesuffix("\n").encode("utf-8"), dtype=np.uint8)
-    separators = np.flatnonzero((data < ord("0")) | (data > ord("9")))
-    digits = np.diff(separators, prepend=-1, append=len(data)) - 1
-    ends = data[separators]
+def _plain_lengths(data: bytes) -> tuple[np.ndarray, bool] | None:
+    """The (n, 2) lengths of lengths-tsv bytes in which every line is two
+    ASCII integers of 1 to 18 digits joined by one tab, and whether the bytes
+    are canonical: they end with a newline and no integer has a leading zero.
+    None for any other bytes, which the per-line path then reads or rejects."""
+    chars = np.frombuffer(data.removesuffix(b"\n"), dtype=np.uint8)
+    separators = np.flatnonzero((chars < ord("0")) | (chars > ord("9")))
+    digits = np.diff(separators, prepend=-1, append=len(chars)) - 1
+    ends = chars[separators]
     alternating = (
         len(separators) % 2 == 1 and (ends[0::2] == ord("\t")).all() and (ends[1::2] == ord("\n")).all()
     )
     if not alternating or not 1 <= digits.min() <= digits.max() <= 18:
         return None
-    # Each integer starts the text or follows a separator.
-    leading_zero = data[0] == ord("0") or (data[separators + 1] == ord("0")).any()
-    canonical = text.endswith("\n") and not leading_zero
-    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2), canonical
+    # Each integer starts the data or follows a separator.
+    leading_zero = chars[0] == ord("0") or (chars[separators + 1] == ord("0")).any()
+    canonical = data.endswith(b"\n") and not leading_zero
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2), canonical
 
 
 def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple[int, int]:
@@ -305,12 +296,12 @@ def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple[int
 
 
 def write_lengths_tsv(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(corpus.lengths_tsv, encoding="utf-8")
+    Path(path).write_bytes(corpus.lengths_tsv)
 
 
 def corpus_hash(corpus: Corpus) -> str:
     """Content hash of the canonical lengths-tsv serialization (order-sensitive)."""
-    return hashlib.sha256(corpus.lengths_tsv.encode("utf-8")).hexdigest()
+    return hashlib.sha256(corpus.lengths_tsv).hexdigest()
 
 
 # ---------------------------------------------------------------------------

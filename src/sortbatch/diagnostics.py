@@ -143,7 +143,7 @@ def autocorrelation(series: BatchSeries, max_lag: int) -> AutocorrResult:
     square = x * x
     head_sum, head_sq = np.cumsum(x)[count - 1], np.cumsum(square)[count - 1]
     tail_sum, tail_sq = np.cumsum(x[::-1])[count - 1], np.cumsum(square[::-1])[count - 1]
-    cross = np.array([x[:-lag] @ x[lag:] for lag in range(1, max_lag + 1)])
+    cross = np.array([x[:-lag].dot(x[lag:]) for lag in range(1, max_lag + 1)])
     head_var = head_sq - head_sum**2 / count
     tail_var = tail_sq - tail_sum**2 / count
     with np.errstate(divide="ignore", invalid="ignore"):

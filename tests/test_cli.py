@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: flags, file layout, exit codes, round trips."""
 
+import hashlib
 import json
+import os
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -449,6 +451,25 @@ def test_failed_publish_puts_earlier_sweep_back(corpus_file, tmp_path, capsys, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "sweep"]
 
 
+@pytest.mark.parametrize("suffix", [".tmp", ".old"])
+def test_leftover_of_a_killed_run_with_this_pid_blocks_nothing(suffix, corpus_file, tmp_path, capsys):
+    """A killed simulate may leave .sweep.PID.tmp, or .sweep.PID.old, and a
+    later run can get the same pid; it still writes its sweep, and leaves
+    the leftover as it was."""
+    out = tmp_path / "sweep"
+    if suffix == ".old":  # an earlier sweep to move aside
+        assert run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)[0] == EXIT_OK
+    leftover = tmp_path / f".sweep.{os.getpid()}{suffix}"
+    leftover.mkdir()
+    (leftover / "sweep.json").write_text("{}\n", encoding="utf-8")
+    before = tree(leftover)
+    code, _, err = run(simulate_args(corpus_file, out), capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert (out / "run_k3_seed1" / "report.json").is_file()
+    assert tree(leftover) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([leftover.name, "corpus.tsv", "sweep"])
+
+
 def test_rerun_replaces_earlier_sweep(corpus_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     run(simulate_args(corpus_file, out, k=("1", "10"), seeds=("0",)), capsys)
@@ -752,6 +773,29 @@ def test_simulate_makes_no_per_pair_objects(corpus_file, tmp_path, monkeypatch):
     synth = SynthParams(n=300, mean_src=10, std_src=3, max_len=50, pair_diff_mean=1.0)
     run_sweep(SweepSpec(out_dir=tmp_path / "synth", source=synth, **common))
     assert (tmp_path / "synth" / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["canonical", "crlf_leading_zero", "synth"])
+def test_corpus_hash_names_the_written_corpus_tsv(source, corpus_file, tmp_path):
+    """sweep.json and every report.json carry the sha256 of the corpus.tsv
+    bytes the sweep wrote; a canonical input file is written as it was read."""
+    given = corpus_file
+    if source == "crlf_leading_zero":
+        given = tmp_path / "crlf.tsv"
+        given.write_bytes(b"0" + corpus_file.read_bytes().replace(b"\n", b"\r\n"))
+    elif source == "synth":
+        given = SynthParams(n=300, mean_src=10, std_src=3, max_len=50, pair_diff_mean=1.0)
+    out = tmp_path / "sweep"
+    run_sweep(SweepSpec(m=4, k_values=(1, 3, "all"), seeds=(0, 1), out_dir=out, source=given))
+    written = (out / "corpus.tsv").read_bytes()
+    digest = hashlib.sha256(written).hexdigest()
+    records = [out / "sweep.json", *sorted(out.glob("run_*/report.json"))]
+    assert len(records) == 7
+    assert {json.loads(path.read_text(encoding="utf-8"))["corpus_hash"] for path in records} == {digest}
+    if source == "canonical":
+        assert written == corpus_file.read_bytes()
+    elif source == "crlf_leading_zero":
+        assert written == corpus_file.read_bytes() != given.read_bytes()
 
 
 def test_report_json_format(corpus_file, tmp_path, capsys):

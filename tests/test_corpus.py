@@ -247,17 +247,17 @@ def test_canonical_file_is_its_own_lengths_tsv(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text(text, encoding="utf-8")
     corpus = load_corpus(path)
-    assert vars(corpus)["lengths_tsv"] == text  # kept by load_corpus, not rendered again
+    assert vars(corpus)["lengths_tsv"] == text.encode()  # kept by load_corpus, not rendered again
     assert corpus_hash(corpus) == hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
     "data, rendered",
     [
-        (b"03\t4\n", "3\t4\n"),
-        (b"3\t040\n7\t1\n", "3\t40\n7\t1\n"),
-        (b"3\t4\n1\t1", "3\t4\n1\t1\n"),  # no final newline
-        (b"3\t4\r\n1\t1\r\n12\t9\r\n", "3\t4\n1\t1\n12\t9\n"),
+        (b"03\t4\n", b"3\t4\n"),
+        (b"3\t040\n7\t1\n", b"3\t40\n7\t1\n"),
+        (b"3\t4\n1\t1", b"3\t4\n1\t1\n"),  # no final newline
+        (b"3\t4\r\n1\t1\r\n12\t9\r\n", b"3\t4\n1\t1\n12\t9\n"),
     ],
     ids=["leading_zero", "leading_zero_inside", "no_final_newline", "crlf"],
 )
@@ -725,7 +725,7 @@ def test_normal_functions_keep_the_input_shape(function, values):
     ids=["plain", "decimal_widths", "2**32", "int64_max", "mixed_widths", "empty"],
 )
 def test_lengths_tsv_text_shape(rows):
-    assert make_corpus(rows).lengths_tsv == "".join(f"{s}\t{t}\n" for s, t in rows)
+    assert make_corpus(rows).lengths_tsv == "".join(f"{s}\t{t}\n" for s, t in rows).encode()
 
 
 def test_default_family_is_lognormal():
