@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import secrets
 import shutil
 import sys
@@ -148,8 +149,9 @@ def _sweep_record(spec: SweepSpec, digest: str) -> dict:
     }
 
 
-def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
-    """Execute every (k, seed) cell of the sweep and write all output files.
+def run_sweep(spec: SweepSpec) -> CostComparison:
+    """Execute every (k, seed) cell of the sweep, write all output files and
+    return the comparison table.
 
     Layout under spec.out_dir:
       corpus.tsv, sweep.json, comparison.csv, comparison.md,
@@ -157,8 +159,8 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
 
     Seeds are the outer loop and k the inner: each seed's epoch shuffles
     are made once (batcher.epoch_shuffles), passed to run_epochs for every k,
-    and dropped before the next seed's are made. A cell's files do not
-    depend on that order, and the reports are returned k outer, seeds inner.
+    and dropped before the next seed's are made. Neither a cell's files nor
+    the table depend on that order: compare_costs sorts the reports.
 
     Deterministic for a fixed spec. out_dir holds one sweep: it is written to
     a hidden sibling, .{name}.{pid}.{token}.tmp with a random token of its
@@ -188,20 +190,19 @@ def run_sweep(spec: SweepSpec) -> tuple[CostComparison, list[RunReport]]:
         )
 
         configs = spec.configs()
-        cell_reports = {}
+        reports = []
         for seed in spec.seeds:
             shuffles = epoch_shuffles(corpus, seed, spec.epochs)
             for k in spec.k_values:
                 run_dir = stage / f"run_k{k}_seed{seed}"
-                cell_reports[k, seed] = _run_cell(corpus, configs[k, seed], shuffles, digest, run_dir)
+                reports.append(_run_cell(corpus, configs[k, seed], shuffles, digest, run_dir))
             del shuffles  # one seed's shuffles at a time: freed before the next seed makes its own
-        reports = [cell_reports[cell] for cell in configs]
         comparison = compare_costs(reports)
         for fmt in ("csv", "md"):
             with open(stage / f"comparison.{fmt}", "w", encoding="utf-8") as handle:
                 handle.write(_RENDERERS[fmt](comparison))
         _publish(stage, out)
-        return comparison, reports
+        return comparison
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
@@ -234,6 +235,15 @@ def _publish(stage: Path, out: Path) -> None:
         aside.rename(out)
         raise
     shutil.rmtree(aside)
+
+
+def _leftovers(out_dir: Path) -> list[Path]:
+    """The directories beside out_dir named as a simulate's stage or the sweep
+    it moves aside (.NAME.PID[.TOKEN].tmp or .old). None is deleted: the
+    stage of a run still in progress looks the same as a killed one's."""
+    out = out_dir.resolve()
+    name = re.compile(rf"\.{re.escape(out.name)}\.\d+(\.[0-9a-f]+)?\.(tmp|old)")
+    return sorted(p for p in out.parent.iterdir() if name.fullmatch(p.name) and p.is_dir())
 
 
 def collect_reports(paths: Sequence[Path]) -> list[RunReport]:
@@ -423,8 +433,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         drop_last=args.drop_last,
     )
-    comparison, _ = run_sweep(spec)
-    _emit_comparison(comparison, args.format, None)
+    _emit_comparison(run_sweep(spec), args.format, None)
+    for leftover in _leftovers(args.out):
+        print(f"note: {leftover}: left by a simulate that was killed or is still running", file=sys.stderr)
     return EXIT_OK
 
 

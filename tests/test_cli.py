@@ -12,9 +12,9 @@ import pytest
 
 from sortbatch import batcher, cli
 from sortbatch.batcher import BatchPlanConfig, config_for_k, k_label
-from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, main, run_sweep
+from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, collect_reports, main, run_sweep
 from sortbatch.corpus import SentencePair, SynthParams, compute_stats, load_corpus
-from sortbatch.cost import RunReport
+from sortbatch.cost import RunReport, compare_costs
 from sortbatch.diagnostics import write_iid_report_json
 
 GEN_FLAGS = ["--n", "200", "--mean-src", "10", "--std-src", "3", "--max-len", "50"]
@@ -62,10 +62,14 @@ def test_gen_single_pair(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1
 
 
-def test_gen_requires_out(capsys):
-    code, _, err = run(["gen", *GEN_FLAGS], capsys)
-    assert code == EXIT_USAGE
-    assert "out" in err
+def test_gen_requires_out(tmp_path, capsys, monkeypatch):
+    """So does simulate; neither creates anything in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["gen", *GEN_FLAGS], ["simulate", *GEN_FLAGS, "--m", "4", "--k", "1"]):
+        code, _, err = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {argv[0]} requires --out")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_missing_flag_is_usage_error(capsys):
@@ -201,6 +205,10 @@ def test_stats_bytes_with_and_without_limit(fmt, max_len, tmp_path, capsys):
     code, stdout, _ = run(["stats", str(path), "--format", fmt, *limit], capsys)
     assert code == EXIT_OK
     assert stdout == STATS_BYTES[fmt, max_len]
+    out = tmp_path / "stats.out"
+    code, stdout, _ = run(["stats", str(path), "--format", fmt, *limit, "--out", str(out)], capsys)
+    assert (code, stdout) == (EXIT_OK, "")
+    assert out.read_bytes() == STATS_BYTES[fmt, max_len].encode()
 
 
 def test_stats_limit_above_the_column_type_keeps_every_pair(corpus_file, capsys):
@@ -451,11 +459,12 @@ def test_failed_publish_puts_earlier_sweep_back(corpus_file, tmp_path, capsys, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "sweep"]
 
 
-@pytest.mark.parametrize("suffix", [".tmp", ".old"])
+@pytest.mark.parametrize("suffix", [".tmp", ".old", ".0a1b2c3d.tmp"])
 def test_leftover_of_a_killed_run_with_this_pid_blocks_nothing(suffix, corpus_file, tmp_path, capsys):
-    """A killed simulate may leave .sweep.PID.tmp, or .sweep.PID.old, and a
-    later run can get the same pid; it still writes its sweep, and leaves
-    the leftover as it was."""
+    """A killed simulate may leave .sweep.PID.TOKEN.tmp (.sweep.PID.tmp before
+    stages had a token), or .sweep.PID.old, and a later run can get the same
+    pid; it still writes its sweep, names the leftover on stderr and leaves
+    it as it was."""
     out = tmp_path / "sweep"
     if suffix == ".old":  # an earlier sweep to move aside
         assert run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)[0] == EXIT_OK
@@ -464,10 +473,33 @@ def test_leftover_of_a_killed_run_with_this_pid_blocks_nothing(suffix, corpus_fi
     (leftover / "sweep.json").write_text("{}\n", encoding="utf-8")
     before = tree(leftover)
     code, _, err = run(simulate_args(corpus_file, out), capsys)
-    assert (code, err) == (EXIT_OK, "")
+    assert code == EXIT_OK
+    assert err == f"note: {leftover.resolve()}: left by a simulate that was killed or is still running\n"
     assert (out / "run_k3_seed1" / "report.json").is_file()
     assert tree(leftover) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([leftover.name, "corpus.tsv", "sweep"])
+
+
+def test_simulate_notes_nothing_that_is_no_leftover_of_its_out(corpus_file, tmp_path, capsys):
+    """A clean run prints no note, and neither does a rerun beside what only
+    looks like a leftover: another --out's stage, a name that matches only if
+    the dot of "a.b" matched any character, a bad suffix or token, a file."""
+    out = tmp_path / "a.b"
+    code, _, err = run(simulate_args(corpus_file, out), capsys)
+    assert (code, err) == (EXIT_OK, "")
+    for name in (".a.b.x.1.tmp", ".aXb.1.tmp", ".a.b.1.tmpx", ".a.b.1.TOKEN.tmp"):
+        (tmp_path / name).mkdir()
+    (tmp_path / ".a.b.1.old").write_text("", encoding="utf-8")
+    code, _, err = run(simulate_args(corpus_file, out), capsys)
+    assert (code, err) == (EXIT_OK, "")
+
+
+def test_run_sweep_returns_the_table_report_reads_back(corpus_file, tmp_path):
+    """Whatever the order of k and seeds, the table run_sweep returns equals
+    the one compare_costs builds from the report.json files it wrote."""
+    out = tmp_path / "sweep"
+    comparison = run_sweep(SweepSpec(m=4, k_values=("all", 3, 1), seeds=(1, 0), out_dir=out, source=corpus_file))
+    assert comparison == compare_costs(collect_reports([out]))
 
 
 def test_rerun_replaces_earlier_sweep(corpus_file, tmp_path, capsys):
