@@ -1,13 +1,9 @@
-"""The README's "Library" example and "Experiments" commands run against the
-package as it is."""
+"""The README's "Library" example runs against the package as it is, and its
+"Experiments" block is two simulate commands (tests/test_scripts.py runs them)."""
 
 import re
 import shlex
 from pathlib import Path
-
-import pytest
-
-from sortbatch.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,19 +31,3 @@ def test_readme_experiments_are_two_simulate_commands():
     commands = experiment_commands()
     assert len(commands) == 2
     assert all(argv[:2] == ["sortbatch", "simulate"] for argv in commands)
-
-
-@pytest.mark.parametrize("index", [0, 1], ids=["long_tail", "short"])
-def test_readme_experiment_runs_and_report_reproduces_it(index, tmp_path, capsys):
-    """Each command runs in-process at 3000 pairs and two seeds: argparse keeps
-    the last value of a flag given twice, so the --n, --seeds and --out
-    appended here override the README's. It prints the comparison.md it
-    writes, and report reproduces comparison.csv and comparison.md."""
-    out = tmp_path / "sweep"
-    argv = experiment_commands()[index][1:] + ["--n", "3000", "--seeds", "0", "1", "--out", str(out)]
-    assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out.encode() == (out / "comparison.md").read_bytes()
-    for fmt in ("csv", "md"):
-        rendered = tmp_path / f"report.{fmt}"
-        assert main(["report", str(out), "--format", fmt, "--out", str(rendered)]) == EXIT_OK
-        assert rendered.read_bytes() == (out / f"comparison.{fmt}").read_bytes()

@@ -1,31 +1,45 @@
-"""Smoke test of scripts/run_table_sweeps.py at a tiny corpus size."""
+"""README's Experiments commands, the two sweeps behind the paper's tables,
+run at 3000 pairs and two seeds; `report` reproduces the tables they write."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import contextlib
+import io
 
 import pytest
 
 from sortbatch.cli import EXIT_OK, main
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_table_sweeps.py"
+from .test_readme import experiment_commands
+
+SWEEPS = ["long_tail", "short"]
 
 
 @pytest.fixture(scope="module")
-def sweeps_dir(tmp_path_factory):
+def sweeps(tmp_path_factory):
+    """Runs each command in-process into `<tmp>/<sweep>` and returns that
+    directory and what each command printed. argparse keeps the last value of
+    a flag given twice, so the --n, --seeds and --out appended here override
+    the README's."""
     out = tmp_path_factory.mktemp("sweeps")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    argv = [sys.executable, str(SCRIPT), "--out", str(out), "--n-long", "3000", "--n-short", "3000", "--seeds", "0", "1"]
-    result = subprocess.run(argv, env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert "== long_tail: 3000 pairs" in result.stdout and "== short: 3000 pairs" in result.stdout
-    return out
+    printed = {}
+    for sweep, argv in zip(SWEEPS, experiment_commands(), strict=True):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv[1:] + ["--n", "3000", "--seeds", "0", "1", "--out", str(out / sweep)])
+        assert code == EXIT_OK
+        printed[sweep] = stdout.getvalue()
+    return out, printed
 
 
-@pytest.mark.parametrize("sweep", ["long_tail", "short"])
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_readme_experiment_prints_the_comparison_md_it_writes(sweeps, sweep):
+    out, printed = sweeps
+    assert printed[sweep].encode() == (out / sweep / "comparison.md").read_bytes()
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
 @pytest.mark.parametrize("fmt, name", [("csv", "comparison.csv"), ("md", "comparison.md")])
-def test_report_reproduces_sweep_tables(sweeps_dir, tmp_path, capsys, sweep, fmt, name):
+def test_report_reproduces_sweep_tables(sweeps, tmp_path, sweep, fmt, name):
+    out, _ = sweeps
     rendered = tmp_path / name
-    assert main(["report", str(sweeps_dir / sweep), "--format", fmt, "--out", str(rendered)]) == EXIT_OK
-    assert rendered.read_bytes() == (sweeps_dir / sweep / name).read_bytes()
+    assert main(["report", str(out / sweep), "--format", fmt, "--out", str(rendered)]) == EXIT_OK
+    assert rendered.read_bytes() == (out / sweep / name).read_bytes()
