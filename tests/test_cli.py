@@ -348,10 +348,19 @@ def test_simulate_rejects_bad_k(corpus_file, tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-def test_simulate_duplicate_seeds_is_data_error(corpus_file, tmp_path, capsys):
-    code, _, err = run(simulate_args(corpus_file, tmp_path / "sweep", seeds=("0", "0")), capsys)
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        (dict(seeds=("0", "0")), "duplicate seeds: [0, 0]"),
+        (dict(k=("1", "01")), "duplicate k values: ['1', '1']"),
+        (dict(k=("all", "all")), "duplicate k values: ['all', 'all']"),
+    ],
+    ids=["seeds", "k", "k_all"],
+)
+def test_simulate_duplicate_seeds_or_k_is_data_error(given, message, corpus_file, tmp_path, capsys):
+    code, _, err = run(simulate_args(corpus_file, tmp_path / "sweep", **given), capsys)
     assert code == EXIT_DATA
-    assert "duplicate seeds" in err
+    assert message in err
     assert list(tmp_path.iterdir()) == [corpus_file]
 
 
