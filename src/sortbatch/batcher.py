@@ -133,9 +133,17 @@ class BatchStream(Sequence[Batch]):
 
     @classmethod
     def of(cls, batches: Sequence[Batch]) -> BatchStream:
-        """The stream itself, or the columns of a plain sequence of batches."""
+        """The stream itself, or the columns of a plain sequence of batches.
+        Each batch must hold pairs, padded to their longest src and tgt lengths."""
         if isinstance(batches, cls):
             return batches
+        for b, batch in enumerate(batches):
+            if not batch.pairs:
+                raise ValueError(f"batch {b} holds no pairs")
+            padded = (batch.padded_src, batch.padded_tgt)
+            longest = (max(p.src_len for p in batch.pairs), max(p.tgt_len for p in batch.pairs))
+            if padded != longest:
+                raise ValueError(f"batch {b}: padded dims {padded} are not its pairs' longest lengths {longest}")
         pairs = [(p.id, p.src_len, p.tgt_len) for b in batches for p in b.pairs]
         ids, src, tgt = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
         per_batch = [

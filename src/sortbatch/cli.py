@@ -59,9 +59,8 @@ from .cost import (
 )
 from .diagnostics import iid_report, write_iid_report_json
 
-#: The comparison renderer of each --format; simulate also writes the csv and md ones.
-_RENDERERS = {"csv": comparison_to_csv, "md": comparison_to_markdown, "json": comparison_to_json}
-FORMATS = tuple(_RENDERERS)
+#: The --format choices of stats, simulate and report; simulate also writes the csv and md tables.
+FORMATS = ("csv", "md", "json")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,9 +184,7 @@ def run_sweep(spec: SweepSpec) -> CostComparison:
     stage.mkdir()  # not mkdtemp: its mode 0700 would become the mode of out_dir
     try:
         write_lengths_tsv(corpus, stage / "corpus.tsv")
-        (stage / "sweep.json").write_text(
-            json.dumps(_sweep_record(spec, digest), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _emit(json.dumps(_sweep_record(spec, digest), indent=2, sort_keys=True) + "\n", stage / "sweep.json")
 
         configs = spec.configs()
         reports = []
@@ -199,8 +196,7 @@ def run_sweep(spec: SweepSpec) -> CostComparison:
             del shuffles  # one seed's shuffles at a time: freed before the next seed makes its own
         comparison = compare_costs(reports)
         for fmt in ("csv", "md"):
-            with open(stage / f"comparison.{fmt}", "w", encoding="utf-8") as handle:
-                handle.write(_RENDERERS[fmt](comparison))
+            _emit(_render(comparison, fmt), stage / f"comparison.{fmt}")
         _publish(stage, out)
         return comparison
     finally:
@@ -268,8 +264,21 @@ def collect_reports(paths: Sequence[Path]) -> list[RunReport]:
 
 
 # ---------------------------------------------------------------------------
-# stats rendering
+# rendering and writing
 # ---------------------------------------------------------------------------
+
+def _emit(text: str, out: Path | None) -> None:
+    """Write text to the file out, or to stdout if out is None."""
+    if out is None:
+        print(text, end="")
+    else:
+        out.write_text(text, encoding="utf-8")
+
+
+def _render(comparison: CostComparison, fmt: str) -> str:
+    """The table in one of FORMATS, by the comparison_to_* bound when called (a tracer rebinds them)."""
+    return {"csv": comparison_to_csv, "md": comparison_to_markdown, "json": comparison_to_json}[fmt](comparison)
+
 
 def _render_stats(stats: LengthStats, max_len: int | None, fmt: str) -> str:
     """The stats table: every LengthStats field but the histograms, then
@@ -292,13 +301,13 @@ def _render_stats(stats: LengthStats, max_len: int | None, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_histogram_csv(stats: LengthStats, path: Path) -> None:
+def _histogram_csv(stats: LengthStats) -> str:
     lengths = sorted(set(stats.histogram_src) | set(stats.histogram_tgt))
     lines = ["length,src_count,tgt_count"]
     lines += [
         f"{n},{stats.histogram_src.get(n, 0)},{stats.histogram_tgt.get(n, 0)}" for n in lengths
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_synth_flags(simulate, required=False)
     simulate.add_argument("--m", type=int, required=True, help="batch size")
     simulate.add_argument(
-        "--k", nargs="+", required=True, metavar="K",
+        "--k", nargs="+", type=_k_value, required=True, metavar="K",
         help="look-ahead values: integers and/or 'all' (1 = unsorted, all = full sort)",
     )
     simulate.add_argument(
@@ -368,20 +377,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_k_values(texts: Sequence[str]) -> tuple[int | str, ...]:
-    values: list[int | str] = []
-    for text in texts:
-        if text == "all":
-            values.append("all")
-            continue
-        try:
-            k = int(text)
-        except ValueError:
-            raise UsageError(f"invalid k value {text!r}: expected an integer or 'all'") from None
-        if k < 1:
-            raise UsageError(f"invalid k value {k}: must be >= 1")
-        values.append(k)
-    return tuple(values)
+def _k_value(text: str) -> int | str:
+    """One --k value: the word "all" or an integer >= 1."""
+    if text == "all":
+        return text
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid k value {text!r}: expected an integer or 'all'") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"invalid k value {k}: must be >= 1")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +410,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.max_len is not None:
         corpus = filter_max_len(corpus, args.max_len)
     stats = compute_stats(corpus)
-    rendered = _render_stats(stats, args.max_len, args.format)
-    if args.out is not None:
-        args.out.write_text(rendered, encoding="utf-8")
-    else:
-        print(rendered, end="")
+    _emit(_render_stats(stats, args.max_len, args.format), args.out)
     if args.hist_out is not None:
-        _write_histogram_csv(stats, args.hist_out)
+        _emit(_histogram_csv(stats), args.hist_out)
     return EXIT_OK
 
 
@@ -426,7 +428,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"--corpus and the synth flags are mutually exclusive, got {flags}")
     spec = SweepSpec(
         m=args.m,
-        k_values=_parse_k_values(args.k),
+        k_values=tuple(args.k),
         seeds=tuple(args.seeds),
         out_dir=args.out,
         source=args.corpus if args.corpus is not None else _synth_params(args),
@@ -448,11 +450,7 @@ def _emit_comparison(comparison: CostComparison, fmt: str, out: Path | None) -> 
     """Write the table in the chosen format to `out`, or stdout if None. A
     missing baseline is noted on stderr only once the table is written, so a
     failed write leaves stderr holding just its error."""
-    rendered = _RENDERERS[fmt](comparison)
-    if out is not None:
-        out.write_text(rendered, encoding="utf-8")
-    else:
-        print(rendered, end="")
+    _emit(_render(comparison, fmt), out)
     if comparison.baseline_missing:
         print("warning: no unsorted baseline among reports; ratio columns omitted", file=sys.stderr)
 
@@ -470,15 +468,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA if isinstance(exc, ValueError) else EXIT_IO
 
 
 def entrypoint() -> None:

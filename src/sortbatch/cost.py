@@ -359,11 +359,5 @@ def comparison_to_markdown(comparison: CostComparison) -> str:
 
 
 def comparison_to_json(comparison: CostComparison) -> str:
-    payload = {
-        "m": comparison.m,
-        "corpus_hash": comparison.corpus_hash,
-        "baseline_missing": comparison.baseline_missing,
-        "rows": list(comparison.rows),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(comparison), indent=2, sort_keys=True) + "\n"
 

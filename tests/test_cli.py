@@ -341,11 +341,13 @@ def test_simulate_refuses_synth_flags_with_corpus(flags, corpus_file, tmp_path, 
     assert stdout == "" and not out.exists()
 
 
-def test_simulate_rejects_bad_k(corpus_file, tmp_path, capsys):
-    code, _, err = run(simulate_args(corpus_file, tmp_path / "x", k=("0",)), capsys)
+@pytest.mark.parametrize("k", [("0",), ("x",), ("1", "-2")], ids=["zero", "word", "negative"])
+def test_simulate_rejects_bad_k(k, corpus_file, tmp_path, capsys):
+    code, stdout, err = run(simulate_args(corpus_file, tmp_path / "sweep", k=k), capsys)
     assert code == EXIT_USAGE
-    code, _, _ = run(simulate_args(corpus_file, tmp_path / "y", k=("some",)), capsys)
-    assert code == EXIT_USAGE
+    assert stdout == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "invalid k value" in err and k[-1] in err
+    assert list(tmp_path.iterdir()) == [corpus_file]
 
 
 @pytest.mark.parametrize(

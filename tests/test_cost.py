@@ -132,6 +132,25 @@ def test_summarize_rejects_empty():
         summarize_run([], BatchPlanConfig(m=2))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (replace(batch_of([1]), pairs=()), "batch 1 holds no pairs"),
+        (replace(batch_of([5]), padded_src=3), r"batch 1: padded dims \(3, 5\) are not .* \(5, 5\)"),
+        (replace(batch_of([5, 3], [2, 4]), padded_tgt=5), r"batch 1: padded dims \(5, 5\) are not .* \(5, 4\)"),
+    ],
+    ids=["no_pairs", "padded_src_short", "padded_tgt_long"],
+)
+def test_plain_batches_must_hold_pairs_padded_to_their_longest(bad, message):
+    """A plain list of Batch values is converted only if each batch's padded
+    dims are its pairs' longest lengths. Unchecked, an empty batch would sum
+    the next batch's lengths, and a short padded_src give a negative waste."""
+    with pytest.raises(ValueError, match=message):
+        summarize_run([batch_of([4, 2]), bad, batch_of([5, 3])], BatchPlanConfig(m=2))
+    with pytest.raises(ValueError, match=message.replace("batch 1", "batch 0")):
+        cost_of_batch(bad)
+
+
 @given(corpus_and_config(max_n=30, max_m=6, max_k=4))
 @settings(max_examples=50, deadline=None)
 def test_totals_equal_per_batch_sums(case):
