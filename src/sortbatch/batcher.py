@@ -134,7 +134,10 @@ class BatchStream(Sequence[Batch]):
     @classmethod
     def of(cls, batches: Sequence[Batch]) -> BatchStream:
         """The stream itself, or the columns of a plain sequence of batches.
+        Either must hold a batch: this is every analysis's one empty-list check.
         Each batch must hold pairs, padded to their longest src and tgt lengths."""
+        if not batches:
+            raise ValueError("cannot analyze an empty batch stream")
         if isinstance(batches, cls):
             return batches
         for b, batch in enumerate(batches):

@@ -74,7 +74,6 @@ __all__ = [
     "collect_reports",
     "build_parser",
     "main",
-    "entrypoint",
     "EXIT_OK",
     "EXIT_USAGE",
     "EXIT_DATA",
@@ -473,9 +472,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA if isinstance(exc, ValueError) else EXIT_IO
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -498,39 +498,35 @@ def _fit_family(dist: str, mean: float, std: float, lo: float, hi: float) -> tup
 
 
 def _sample_src_lengths(params: SynthParams, rng: np.random.Generator) -> np.ndarray:
-    value = min(max(int(round(params.mean_src)), 1), params.max_len)
-    if params.std_src == 0:
-        return np.full(params.n, value, dtype=np.int64)
     lo, hi = 1.0, float(params.max_len)
     loc, scale = _fit_family(params.length_dist, params.mean_src, params.std_src, lo, hi)
-    if not 0 < scale < math.inf:  # a spread too small or too large for floats
-        return np.full(params.n, value, dtype=np.int64)
-    if params.length_dist == LOGNORMAL:
-        cdf_lo, cdf_hi = _ndtr((math.log(lo) - loc) / scale), _ndtr((math.log(hi) - loc) / scale)
-    else:
-        cdf_lo, cdf_hi = _ndtr((lo - loc) / scale), _ndtr((hi - loc) / scale)
+    lognormal = params.length_dist == LOGNORMAL
+    cdf_lo = cdf_hi = 0.0  # a zero spread, or one too small or too large for floats, has no usable scale
+    if 0 < scale < math.inf:
+        bounds = (math.log(lo), math.log(hi)) if lognormal else (lo, hi)
+        cdf_lo, cdf_hi = _ndtr([(bound - loc) / scale for bound in bounds]).tolist()
     if cdf_hi - cdf_lo < 1e-12:
-        return np.full(params.n, value, dtype=np.int64)
+        return np.full(params.n, int(round(params.mean_src)), dtype=np.int64)  # mean_src is in [1, max_len], so its rounding is
     u = cdf_lo + rng.random(params.n) * (cdf_hi - cdf_lo)
     x = _ndtri(u) * scale + loc
-    if params.length_dist == LOGNORMAL:
-        x = np.exp(x)
-    return np.clip(np.rint(x), 1, params.max_len).astype(np.int64)
+    return np.clip(np.rint(np.exp(x) if lognormal else x), 1, params.max_len).astype(np.int64)
 
 
 def synth_generate(params: SynthParams) -> Corpus:
     """Generate a deterministic synthetic corpus of paired lengths.
 
     Source lengths are sampled by inverse CDF with the standard library's
-    normal quantile, NormalDist().inv_cdf (see SynthParams). Target lengths
-    are the source lengths plus round(eps) with eps drawn zero-mean normal
-    scaled so E|eps| equals pair_diff_mean, clamped to [1, max_len].
+    normal quantile, NormalDist().inv_cdf (see SynthParams). They are all
+    round(mean_src), and no uniform is drawn, when std_src is 0, when the fit
+    has no usable scale (one too small or too large for floats), or when under
+    1e-12 of the fitted mass lies inside [1, max_len]. Target lengths are the
+    source lengths plus round(eps) with eps drawn zero-mean normal scaled so
+    E|eps| equals pair_diff_mean, clamped to [1, max_len]; they are drawn
+    after every source length, so a pair_diff_mean of 0 gives tgt == src and
+    leaves src as at any other pair_diff_mean.
     """
     rng = np.random.default_rng(params.seed)
     src = _sample_src_lengths(params, rng)
-    if params.pair_diff_mean == 0:
-        tgt = src
-    else:
-        eps = rng.normal(0.0, params.pair_diff_mean * math.sqrt(math.pi / 2.0), params.n)
-        tgt = np.clip(src + np.rint(eps).astype(np.int64), 1, params.max_len)
+    eps = rng.normal(0.0, params.pair_diff_mean * math.sqrt(math.pi / 2.0), params.n)
+    tgt = np.clip(src + np.rint(eps).astype(np.int64), 1, params.max_len)
     return Corpus(np.arange(params.n), src, tgt)

@@ -146,8 +146,6 @@ def summarize_run(
     (a short final batch counts the same as a full one). Totals are exact
     sums of Python ints.
     """
-    if not batches:
-        raise ValueError("cannot summarize an empty batch stream")
     stream = BatchStream.of(batches)
     columns = _cost_columns(stream)
 
@@ -243,7 +241,9 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
         if first.policy == UNSORTED:  # the one unsorted cell ranks first
             baseline = means
         ratios = {
-            ratio: _safe_ratio(means[column], baseline.get(column)) for column, _, ratio in _CELL_COLUMNS if ratio
+            ratio: means[column] / baseline[column] if baseline.get(column) else None
+            for column, _, ratio in _CELL_COLUMNS
+            if ratio
         }
         rows.append({"policy": first.policy, "k": k_label(first), "runs": len(cell), **means, **ratios})
     return CostComparison(
@@ -252,11 +252,6 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
         rows=tuple(rows),
         baseline_missing=not baseline,
     )
-
-
-def _safe_ratio(value: float, base: float | None) -> float | None:
-    """value / base, or None without a baseline or where it is 0."""
-    return value / base if base else None
 
 
 # ---------------------------------------------------------------------------

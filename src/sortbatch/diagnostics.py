@@ -100,15 +100,14 @@ def extract_series(
     config: BatchPlanConfig | None = None,
 ) -> BatchSeries:
     """Per-batch scalar series for one of the METRICS tags."""
-    if not batches:
-        raise ValueError("cannot extract a series from an empty batch stream")
+    stream = BatchStream.of(batches)
     try:
         metric = METRICS[metric_tag]
     except KeyError:
         raise ValueError(
             f"unknown metric tag {metric_tag!r}, expected one of {sorted(METRICS)}"
         ) from None
-    values = metric(BatchStream.of(batches)).astype(float).tolist()
+    values = metric(stream).astype(float).tolist()
     return BatchSeries(tuple(values), metric_tag, config)
 
 
@@ -168,8 +167,6 @@ def cycle_analysis(batches: Sequence[Batch], config: BatchPlanConfig) -> CycleRe
     """
     if config.policy != PARTIAL_SORT:
         raise ValueError(f"cycle analysis requires policy {PARTIAL_SORT!r}, got {config.policy!r}")
-    if not batches:
-        raise ValueError("cannot analyze an empty batch stream")
     stream = BatchStream.of(batches)
     opens = stream.iteration % min(config.k, len(stream)) == 0  # k may not fit in int64
     opens[0] = True  # a plain batch list may start mid-cycle

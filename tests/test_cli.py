@@ -696,6 +696,20 @@ def test_report_json_nested_too_deep_is_data_error(tmp_path, capsys):
     assert "recursion" in err
 
 
+@pytest.mark.parametrize("what", ["report", "report config"], ids=["top_level", "config"])
+def test_report_that_is_not_a_json_object_is_data_error(what, corpus_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)
+    path = out / "run_k1_seed0" / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    listed = [report] if what == "report" else {**report, "config": list(report["config"].values())}
+    path.write_text(json.dumps(listed), encoding="utf-8")
+    code, stdout, err = run(["report", str(out)], capsys)
+    assert code == EXIT_DATA
+    assert stdout == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"{path}: {what} must be a JSON object, got list" in err
+
+
 def test_report_json_keys_are_runreport_fields(corpus_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)

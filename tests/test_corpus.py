@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -654,9 +655,14 @@ def test_synth_benchmark_corpora_are_pinned(params, digest):
 
 
 def test_synth_zero_pair_diff_copies_source():
+    """Target perturbations are drawn after every source length, so a zero
+    pair_diff_mean copies the source and leaves it as any other would."""
     params = SynthParams(n=500, mean_src=15, std_src=5, max_len=60, pair_diff_mean=0.0, seed=9)
     corpus = synth_generate(params)
-    assert all(p.src_len == p.tgt_len for p in corpus.pairs)
+    assert np.array_equal(corpus.tgt, corpus.src)
+    perturbed = synth_generate(replace(params, pair_diff_mean=2.45))
+    assert np.array_equal(perturbed.src, corpus.src)
+    assert not np.array_equal(perturbed.tgt, corpus.tgt)
 
 
 def test_ndtr_is_symmetric_to_a_few_ulp():

@@ -127,11 +127,6 @@ def test_avg_is_mean_of_batch_maxima():
     assert report.avg_definition == AVG_DEFINITION
 
 
-def test_summarize_rejects_empty():
-    with pytest.raises(ValueError):
-        summarize_run([], BatchPlanConfig(m=2))
-
-
 @pytest.mark.parametrize(
     "bad, message",
     [

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sortbatch.batcher import FULL_SORT, PARTIAL_SORT, UNSORTED, BatchPlanConfig, run_epochs
+from sortbatch.batcher import FULL_SORT, PARTIAL_SORT, UNSORTED, BatchPlanConfig, BatchStream, run_epochs
 from sortbatch.corpus import SynthParams, synth_generate
+from sortbatch.cost import summarize_run
 from sortbatch.diagnostics import (
     METRICS,
     BatchSeries,
@@ -58,11 +59,6 @@ def test_extract_all_registered_metrics():
     batches = [batch_of([2, 4], [1, 5])]
     for tag in METRICS:
         extract_series(batches, tag)
-
-
-def test_extract_rejects_empty_stream():
-    with pytest.raises(ValueError):
-        extract_series([], "padded_src")
 
 
 def test_extract_rejects_unknown_tag():
@@ -264,10 +260,22 @@ def test_a_k_beyond_int64_makes_one_cycle_per_epoch():
     assert cycle_analysis(run_epochs(make_corpus([3, 1, 4, 1, 5]), config), config).n_cycles == 2
 
 
-def test_cycle_analysis_rejects_an_empty_stream():
-    config = BatchPlanConfig(m=2, k=2, policy=PARTIAL_SORT, seed=0)
+@pytest.mark.parametrize(
+    "analyze",
+    [
+        lambda: summarize_run([], BatchPlanConfig(m=2)),
+        lambda: extract_series([], "padded_src"),
+        lambda: cycle_analysis([], BatchPlanConfig(m=2, k=2, policy=PARTIAL_SORT)),
+        lambda: iid_report([], BatchPlanConfig(m=2)),
+        lambda: summarize_run(BatchStream(*(np.zeros(0, dtype=np.int64) for _ in range(8))), BatchPlanConfig(m=2)),
+    ],
+    ids=["summarize_run", "extract_series", "cycle_analysis", "iid_report", "stream_of_no_batches"],
+)
+def test_every_analysis_refuses_an_empty_batch_stream(analyze):
+    """BatchStream.of, which every analysis converts its batches with, is the
+    one check: a plain empty list and a stream with no batches alike."""
     with pytest.raises(ValueError, match="empty batch stream"):
-        cycle_analysis([], config)
+        analyze()
 
 
 def test_cycle_analysis_rejects_other_policies():
