@@ -207,8 +207,6 @@ def epoch_order(shuffled: Corpus, config: BatchPlanConfig) -> np.ndarray:
     epoch (full_sort). Blocks are clamped to the corpus size.
     """
     n = len(shuffled)
-    if n == 0:
-        raise ValueError("cannot order an empty epoch")
     block = n if config.policy == FULL_SORT else min(config.m * config.k, n)
     # Corpus length columns are in their narrowest unsigned type: 16 bits or fewer radix-sort.
     src, tgt = shuffled.src, shuffled.tgt
@@ -232,8 +230,6 @@ def run_epochs(
     drop_last is set, in which case it is discarded.
     """
     n = len(corpus)
-    if n == 0:
-        raise ValueError("cannot batch an empty corpus")
     if config.drop_last and config.m > n:
         raise ValueError(f"batch size {config.m} exceeds corpus size {n} with drop_last")
     if shuffles is None:
@@ -291,7 +287,7 @@ def _id_text(n: int) -> np.ndarray:
     right-aligned with NUL in a bytes dtype as wide as the text of id n-1, so
     a gather copies whole rows. No division: place j of 0..n-1 runs through
     '0'..'9', each 10**j times, one tiled run a column."""
-    top = max(n - 1, 0)
+    top = n - 1
     width = len(str(top))
     text = np.zeros((n, width + 2), dtype=np.uint8)
     text[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)

@@ -340,15 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sortbatch", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    seed, fmt, out = (_Parser(add_help=False) for _ in range(3))
+    seed, fmt, out, out_or_stdout = (_Parser(add_help=False) for _ in range(4))
     seed.add_argument("--seed", type=int, help="generator seed (default 0)")
     fmt.add_argument("--format", choices=FORMATS, default="md", help="output format (default md)")
-    out.add_argument("--out", type=Path, default=None, help="output path")
+    out.add_argument("--out", type=Path, required=True, help="output path")
+    out_or_stdout.add_argument("--out", type=Path, default=None, help="output path")
 
     gen = sub.add_parser("gen", parents=[seed, out], help="write a synthetic lengths-tsv corpus")
     _add_synth_flags(gen, required=True)
 
-    stats = sub.add_parser("stats", parents=[fmt, out], help="length statistics of a corpus file")
+    stats = sub.add_parser("stats", parents=[fmt, out_or_stdout], help="length statistics of a corpus file")
     stats.add_argument("corpus", type=Path, help="corpus file to inspect")
     stats.add_argument(
         "--corpus-format", choices=CORPUS_FORMATS, default=LENGTHS_TSV, help="input file format"
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--epochs", type=int, default=1, help="epochs per run (default 1)")
     simulate.add_argument("--drop-last", action="store_true", help="discard short final batches")
 
-    report = sub.add_parser("report", parents=[fmt, out], help="merge run reports into one table")
+    report = sub.add_parser("report", parents=[fmt, out_or_stdout], help="merge run reports into one table")
     report.add_argument("runs", nargs="+", type=Path, help="run directories or report.json files")
 
     return parser
@@ -395,8 +396,6 @@ def _k_value(text: str) -> int | str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise UsageError("gen requires --out")
     corpus = synth_generate(_synth_params(args))
     write_lengths_tsv(corpus, args.out)
     stats = compute_stats(corpus)  # the moments made, which a fit that has no root misses
@@ -416,8 +415,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise UsageError("simulate requires --out (output directory)")
     needed = ("n", "mean_src", "std_src", "max_len")
     given = [name for name in (*needed, "pair_diff", "length_dist", "seed") if getattr(args, name) is not None]
     if args.corpus is None and not set(needed) <= set(given):

@@ -85,30 +85,32 @@ class SentencePair:
 class Corpus:
     """Paired lengths as read-only columns: row r is one pair, ids[r], src[r], tgt[r].
 
-    The ids of n pairs are a permutation of 0..n-1 (id i is line i of the
-    corpus file) and lengths are in [1, int64 maximum]. Each column must hold
-    integers; a float or bool column is refused rather than cast. The values
-    are checked in the dtypes given, before any cast; then ids are stored as
-    int64 and src and tgt each in the smallest unsigned type of its maximum
-    (`np.min_scalar_type`, uint8 for lengths up to 255), so a gather or sort
-    of a length column moves no more bytes than its values need. Sums and
-    products of lengths are taken in int64. `pairs`, a SentencePair view
-    (iterate it, not the corpus), and `lengths_tsv`, the canonical bytes, are
-    built on first use. A column already in its stored dtype is used
-    without a copy, so the caller must not write to it afterwards.
+    A corpus holds n >= 1 pairs, whose ids are a permutation of 0..n-1 (id i
+    is line i of the corpus file) and lengths in [1, int64 maximum]. Each
+    column must hold integers; a float or bool column is refused rather than
+    cast. The values are checked in the dtypes given, before any cast; then
+    ids are stored as int64 and src and tgt each in the smallest unsigned type
+    of its maximum (`np.min_scalar_type`, uint8 for lengths up to 255), so a
+    gather or sort of a length column moves no more bytes than its values
+    need. Sums and products of lengths are taken in int64. `pairs`, a
+    SentencePair view (iterate it, not the corpus), and `lengths_tsv`, the
+    canonical bytes, are built on first use. A column already in its stored
+    dtype is used without a copy, so the caller must not write to it later.
     """
 
     def __init__(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike) -> None:
         columns = {"ids": np.asarray(ids), "src": np.asarray(src), "tgt": np.asarray(tgt)}
-        for name, column in columns.items():
-            if column.size and column.dtype.kind not in "iu":  # an empty column has no values to lose
-                raise ValueError(f"corpus column {name} must hold integers, got dtype {column.dtype}")
         ids, src, tgt = columns.values()
         n = len(ids) if ids.ndim == 1 else -1
         if {ids.shape, src.shape, tgt.shape} != {(n,)}:
             raise ValueError("corpus columns must be one-dimensional and of equal length")
-        low = min(int(src.min(initial=1)), int(tgt.min(initial=1)))
-        tops = int(src.max(initial=1)), int(tgt.max(initial=1))
+        if n == 0:  # before the dtype check: np.asarray(()) is float64
+            raise ValueError("a corpus holds at least one pair")
+        for name, column in columns.items():
+            if column.dtype.kind not in "iu":
+                raise ValueError(f"corpus column {name} must hold integers, got dtype {column.dtype}")
+        low = min(int(src.min()), int(tgt.min()))
+        tops = int(src.max()), int(tgt.max())
         if low < 1:
             bad = np.flatnonzero((src < 1) | (tgt < 1))[0]
             raise ValueError(f"pair {ids[bad]}: lengths must be >= 1, got ({src[bad]}, {tgt[bad]})")
@@ -116,7 +118,7 @@ class Corpus:
             bad = np.flatnonzero((src > _MAX_LENGTH) | (tgt > _MAX_LENGTH))[0]
             raise ValueError(f"pair {ids[bad]}: lengths must be <= {_MAX_LENGTH}, got ({src[bad]}, {tgt[bad]})")
         seen = np.zeros(n, dtype=bool)
-        if n and 0 <= ids.min() and ids.max() < n:  # a negative index would wrap
+        if 0 <= ids.min() and ids.max() < n:  # a negative index would wrap
             seen[ids] = True
         if not seen.all():
             raise ValueError(f"corpus pair ids must be distinct and in [0, {n}): the lines of the corpus")
@@ -313,27 +315,23 @@ def filter_max_len(corpus: Corpus, limit: int) -> Corpus:
     """Keep only pairs with both sides at most `limit` tokens, order preserved.
 
     The cutoff applies to source and target alike. The kept pairs are
-    renumbered 0..n'-1 in order, as the lines of the filtered corpus. The
-    result may be empty.
+    renumbered 0..n'-1 in order, as the lines of the filtered corpus. A
+    limit that keeps no pair is refused.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     kept = np.flatnonzero((corpus.src <= limit) & (corpus.tgt <= limit))
+    if not len(kept):
+        raise ValueError(f"no pair has both lengths <= {limit}")
     return Corpus(np.arange(len(kept)), corpus.src[kept], corpus.tgt[kept])
 
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:
     """Uniform seeded permutation of the pairs; same seed, same permutation."""
-    if not len(corpus):
-        raise ValueError("cannot shuffle an empty corpus")
     permutation = np.random.default_rng(seed).permutation(len(corpus))
     return Corpus(corpus.ids[permutation], corpus.src[permutation], corpus.tgt[permutation])
 
 
 def compute_stats(corpus: Corpus) -> LengthStats:
     """Population statistics over all pairs (std with ddof=0)."""
-    if not len(corpus):
-        raise ValueError("compute_stats requires a nonempty corpus")
     src, tgt = corpus.src, corpus.tgt
     return LengthStats(
         n_pairs=len(corpus),

@@ -50,7 +50,6 @@ __all__ = [
     "cost_of_batch",
     "summarize_run",
     "compare_costs",
-    "report_to_dict",
     "report_from_dict",
     "write_report_json",
     "read_report_json",
@@ -259,10 +258,6 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: RunReport) -> dict:
-    return asdict(report)
-
-
 def _check_keys(d: object, cls: type, what: str) -> None:
     """Raise ValueError unless d is a dict holding exactly the fields of cls
     (defaulted ones optional), each of its field's type: a float field takes an
@@ -289,7 +284,7 @@ def _check_keys(d: object, cls: type, what: str) -> None:
 
 
 def report_from_dict(d: dict) -> RunReport:
-    """Inverse of report_to_dict. Raises ValueError on a missing, unknown or
+    """Inverse of dataclasses.asdict. Raises ValueError on a missing, unknown or
     wrongly typed key, top-level or in config; a report.json written with the
     former per_batch block is rejected for that unknown key. Averages under
     any avg_definition but AVG_DEFINITION are not comparable: refused too."""
@@ -301,7 +296,7 @@ def report_from_dict(d: dict) -> RunReport:
 
 
 def write_report_json(report: RunReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_report_json(path: str | Path) -> RunReport:

@@ -16,6 +16,11 @@ def make_corpus(lengths) -> Corpus:
     return Corpus(range(len(rows)), src, tgt)
 
 
+def keeps_a_pair(corpus: Corpus, limit: int) -> bool:
+    """Whether filter_max_len(corpus, limit) keeps a pair, so does not refuse the limit."""
+    return bool((np.maximum(corpus.src, corpus.tgt) <= limit).any())
+
+
 def wide_byte_corpus(n: int = 640, seed: int = 0) -> Corpus:
     """n pairs with both lengths drawn from 200..255, so each length column
     is uint8 while a batch's length sum or squared maximum is far above 255."""

@@ -26,7 +26,7 @@ from sortbatch.batcher import (
 )
 from sortbatch.corpus import Corpus, SentencePair, filter_max_len, shuffle
 
-from .helpers import corpora, corpus_and_config, look_ahead, make_corpus
+from .helpers import corpora, corpus_and_config, keeps_a_pair, look_ahead, make_corpus
 from .reference_loader import reference_batches
 
 
@@ -55,13 +55,6 @@ def test_config_rejects_look_ahead_outside_partial_sort(policy):
     with pytest.raises(ValueError, match="look-ahead k=7 needs policy 'partial_sort'"):
         BatchPlanConfig(m=2, k=7, policy=policy)
     assert BatchPlanConfig(m=2, k=1, policy=policy).k == 1
-
-
-def test_new_loader_rejects_empty_corpus():
-    with pytest.raises(ValueError, match="empty corpus"):
-        run_epochs(Corpus((), (), ()), BatchPlanConfig(m=2))
-    with pytest.raises(ValueError, match="empty epoch"):
-        epoch_order(Corpus((), (), ()), BatchPlanConfig(m=2))
 
 
 def test_new_loader_rejects_drop_last_larger_than_corpus():
@@ -403,8 +396,9 @@ def reference_cases(draw):
     look-ahead far beyond any corpus size."""
     corpus = draw(corpora)
     if draw(st.booleans()):
-        corpus = filter_max_len(corpus, draw(st.integers(1, 30)))
-        assume(corpus.pairs)
+        limit = draw(st.integers(1, 30))
+        assume(keeps_a_pair(corpus, limit))
+        corpus = filter_max_len(corpus, limit)
     m = draw(st.integers(1, 8))
     policy = draw(st.sampled_from(POLICIES))
     config = BatchPlanConfig(

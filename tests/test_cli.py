@@ -68,8 +68,16 @@ def test_gen_requires_out(tmp_path, capsys, monkeypatch):
     for argv in (["gen", *GEN_FLAGS], ["simulate", *GEN_FLAGS, "--m", "4", "--k", "1"]):
         code, _, err = run(argv, capsys)
         assert code == EXIT_USAGE
-        assert err.startswith(f"error: {argv[0]} requires --out")
+        assert err == f"error: sortbatch {argv[0]}: the following arguments are required: --out\n"
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gen", "simulate"])
+def test_usage_shows_out_as_required(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert " --out OUT " in usage and "[--out OUT]" not in usage
 
 
 def test_gen_missing_flag_is_usage_error(capsys):
@@ -230,6 +238,13 @@ def test_stats_hist_out(corpus_file, tmp_path, capsys):
 def test_stats_missing_file_is_io_error(tmp_path, capsys):
     code, _, _ = run(["stats", str(tmp_path / "nope.tsv")], capsys)
     assert code == EXIT_IO
+
+
+def test_stats_limit_that_keeps_no_pair_is_data_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "c.tsv"
+    path.write_text("3\t4\n5\t6\n", encoding="utf-8")
+    code, stdout, err = run(["stats", str(path), "--max-len", "2"], capsys)
+    assert (code, stdout, err) == (EXIT_DATA, "", "error: no pair has both lengths <= 2\n")
 
 
 def test_stats_malformed_file_is_data_error(tmp_path, capsys):

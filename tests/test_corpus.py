@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sortbatch import batcher
@@ -34,7 +34,7 @@ from sortbatch.corpus import (
 )
 from sortbatch.corpus import _fit_family, _ndtr, _ndtri
 
-from .helpers import corpora, make_corpus
+from .helpers import corpora, keeps_a_pair, make_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +101,29 @@ def test_corpus_refuses_columns_of_unequal_shape(columns):
         Corpus(*columns)
 
 
-def test_corpus_accepts_empty_and_narrow_integer_columns():
-    assert len(Corpus((), (), ())) == 0
+def test_corpus_accepts_narrow_integer_columns():
     corpus = Corpus(np.array([1, 0], dtype=np.uint8), np.array([2, 3], dtype=np.int16), [4, 5])
     assert corpus.pairs == (SentencePair(1, 2, 4), SentencePair(0, 3, 5))
     assert [column.dtype for column in (corpus.ids, corpus.src, corpus.tgt)] == [
         np.dtype(np.int64), np.dtype(np.uint8), np.dtype(np.uint8)
     ]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Corpus((), (), ()), "at least one pair"),
+        (lambda: Corpus(np.array([], dtype=np.int64), [], []), "at least one pair"),
+        (lambda: filter_max_len(make_corpus([(3, 4)]), 2), "no pair has both lengths <= 2$"),
+        (lambda: filter_max_len(make_corpus([(3, 4)]), 0), "no pair has both lengths <= 0$"),
+    ],
+    ids=["empty_tuples", "empty_int64", "filter_limit_2", "filter_limit_0"],
+)
+def test_a_corpus_holds_at_least_one_pair(make, message):
+    """The constructor is the one place that refuses an empty corpus, so no
+    shuffle, stats or loader sees one; a filter that keeps no pair names its limit."""
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 @pytest.mark.parametrize(
@@ -363,6 +379,7 @@ def test_filter_is_noop_above_max():
 @given(corpora, st.integers(1, 40), st.integers(0, 2**31))
 @settings(max_examples=50)
 def test_filter_renumbers_kept_pairs_in_order(corpus, limit, seed):
+    assume(keeps_a_pair(corpus, limit))
     shuffled = shuffle(corpus, seed)
     kept = filter_max_len(shuffled, limit)
     assert kept.ids.tolist() == list(range(len(kept)))
@@ -390,6 +407,7 @@ def test_filter_rejects_bad_limit():
 @given(corpora, st.integers(1, 40))
 @settings(max_examples=50)
 def test_filter_idempotent(corpus, limit):
+    assume(keeps_a_pair(corpus, limit))
     once = filter_max_len(corpus, limit)
     twice = filter_max_len(once, limit)
     assert [p.id for p in once.pairs] == [p.id for p in twice.pairs]
@@ -399,11 +417,6 @@ def test_filter_idempotent(corpus, limit):
 # ---------------------------------------------------------------------------
 # shuffle
 # ---------------------------------------------------------------------------
-
-
-def test_shuffle_refuses_an_empty_corpus():
-    with pytest.raises(ValueError, match="empty corpus"):
-        shuffle(Corpus((), (), ()), 0)
 
 
 def test_shuffle_single_pair_identity():
@@ -467,11 +480,6 @@ def test_stats_pairwise_diff():
 def test_stats_pairwise_diff_of_narrow_columns(rows):
     want = sum(abs(s - t) for s, t in rows) / len(rows)
     assert compute_stats(make_corpus(rows)).mean_pairwise_abs_diff == want
-
-
-def test_stats_empty_corpus_rejected():
-    with pytest.raises(ValueError):
-        compute_stats(Corpus((), (), ()))
 
 
 @given(corpora)
@@ -726,9 +734,8 @@ def test_normal_functions_keep_the_input_shape(function, values):
         [(1, 2**32), (2**32, 1), (2**32 - 1, 2**32 + 1)],
         [(2**63 - 1, 1), (1, 2**63 - 1), (2**63 - 1, 2**63 - 1)],  # the int64 maximum
         [(5, 123456), (123456, 5), (77, 7)],  # sides of different widths
-        [],
     ],
-    ids=["plain", "decimal_widths", "2**32", "int64_max", "mixed_widths", "empty"],
+    ids=["plain", "decimal_widths", "2**32", "int64_max", "mixed_widths"],
 )
 def test_lengths_tsv_text_shape(rows):
     assert make_corpus(rows).lengths_tsv == "".join(f"{s}\t{t}\n" for s, t in rows).encode()

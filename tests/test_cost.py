@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from sortbatch.cost import (
     cost_of_batch,
     read_report_json,
     report_from_dict,
-    report_to_dict,
     summarize_run,
     write_report_json,
 )
@@ -350,7 +349,7 @@ def test_report_dict_round_trip():
     corpus = make_corpus([(i % 9 + 1, i % 7 + 1) for i in range(23)])
     config = BatchPlanConfig(m=4, k=2, seed=3, epochs=2)
     report = summarize_run(run_epochs(corpus, config), config, corpus_hash="deadbeef")
-    assert report_from_dict(report_to_dict(report)) == report
+    assert report_from_dict(asdict(report)) == report
 
 
 def test_report_json_file_round_trip(tmp_path):
