@@ -25,10 +25,12 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from statistics import NormalDist
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 PARALLEL_TSV = "parallel-tsv"
 LENGTHS_TSV = "lengths-tsv"
@@ -94,8 +96,9 @@ class Corpus:
     gather or sort of a length column moves no more bytes than its values
     need. Sums and products of lengths are taken in int64. `pairs`, a
     SentencePair view (iterate it, not the corpus), and `lengths_tsv`, the
-    canonical bytes, are built on first use. A column already in its stored
-    dtype is used without a copy, so the caller must not write to it later.
+    canonical bytes, are built on first use. src and tgt are stored
+    contiguous. A column given as it is stored is used without a copy, so the
+    caller must not write to it later.
     """
 
     def __init__(self, ids: ArrayLike, src: ArrayLike, tgt: ArrayLike) -> None:
@@ -123,7 +126,7 @@ class Corpus:
         if not seen.all():
             raise ValueError(f"corpus pair ids must be distinct and in [0, {n}): the lines of the corpus")
         self.ids = ids.astype(np.int64, copy=False).view()
-        self.src, self.tgt = (c.astype(np.min_scalar_type(top), copy=False).view() for c, top in zip((src, tgt), tops))
+        self.src, self.tgt = (np.ascontiguousarray(c, np.min_scalar_type(top)).view() for c, top in zip((src, tgt), tops))
         for column in (self.ids, self.src, self.tgt):
             column.setflags(write=False)
 
@@ -214,6 +217,8 @@ class SynthParams:
 
 #: Largest length a corpus column holds.
 _MAX_LENGTH = np.iinfo(np.int64).max
+#: Bytes of whole lines that _plain_lengths checks and converts at a time.
+_PARSE_BYTES = 1 << 15
 
 
 def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
@@ -221,7 +226,10 @@ def load_corpus(path: str | Path, fmt: str = LENGTHS_TSV) -> Corpus:
 
     parallel-tsv: one pair per line, source and target sentences separated by
     exactly one tab; only their whitespace-token counts are kept. lengths-tsv:
-    two tab-separated positive ASCII integers per line.
+    two tab-separated positive ASCII integers per line. A lengths-tsv file of
+    integers of 1 to 18 digits is checked and converted in one blockwise scan
+    of its bytes (_plain_lengths); any other file is read line by line, which
+    accepts integers up to the int64 maximum and names the first bad line.
 
     Raises CorpusFormatError on malformed or empty files, naming the line.
     """
@@ -256,20 +264,57 @@ def _plain_lengths(data: bytes) -> tuple[np.ndarray, bool] | None:
     """The (n, 2) lengths of lengths-tsv bytes in which every line is two
     ASCII integers of 1 to 18 digits joined by one tab, and whether the bytes
     are canonical: they end with a newline and no integer has a leading zero.
-    None for any other bytes, which the per-line path then reads or rejects."""
-    chars = np.frombuffer(data.removesuffix(b"\n"), dtype=np.uint8)
-    separators = np.flatnonzero((chars < ord("0")) | (chars > ord("9")))
-    digits = np.diff(separators, prepend=-1, append=len(chars)) - 1
-    ends = chars[separators]
-    alternating = (
-        len(separators) % 2 == 1 and (ends[0::2] == ord("\t")).all() and (ends[1::2] == ord("\n")).all()
-    )
-    if not alternating or not 1 <= digits.min() <= digits.max() <= 18:
+    None for any other bytes, which the per-line path then reads or rejects.
+
+    One scan checks and converts the integers, a block of whole lines of
+    about _PARSE_BYTES bytes at a time, so no whole-file index array is built.
+    The end of bytes without a final newline ends the last line."""
+    if not data:
         return None
-    # Each integer starts the data or follows a separator.
-    leading_zero = chars[0] == ord("0") or (chars[separators + 1] == ord("0")).any()
+    blocks = []
+    leading_zero = False
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _PARSE_BYTES - 1) + 1 or len(data)
+        block = _plain_block(np.frombuffer(data, np.uint8, stop - start, start))
+        if block is None:
+            return None
+        blocks.append(block[0])
+        leading_zero |= block[1]
+        start = stop
     canonical = data.endswith(b"\n") and not leading_zero
-    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2), canonical
+    return np.concatenate(blocks).reshape(-1, 2), canonical
+
+
+def _plain_block(chars: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """_plain_lengths of one block of whole lines, as its integers in order and
+    whether one has a leading zero."""
+    digits = chars - ord("0")  # wraps a byte below "0" past 9
+    separators = np.flatnonzero(digits > 9)
+    kinds = chars[separators]
+    ends = separators if chars[-1] == ord("\n") else np.append(separators, len(chars))
+    if len(ends) % 2 or not ((kinds[0::2] == ord("\t")).all() and (kinds[1::2] == ord("\n")).all()):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    widths = ends - starts
+    narrowest, widest = int(widths.min()), int(widths.max())
+    if not 1 <= narrowest <= widest <= 18:
+        return None
+    leading_zero = bool((digits[starts] == 0).any())
+    # Horner's rule over each integer's last `widest` bytes, of which the
+    # first widest - width are not its digits and count as 0.
+    values = np.zeros(len(ends), np.min_scalar_type(10**widest - 1))
+    index = np.subtract(ends, widest, out=starts)
+    for place in range(widest - 1, -1, -1):
+        place_digits = digits.take(index, mode="clip")  # a byte before the block is no integer's, so masked
+        if place >= narrowest:
+            place_digits *= widths > place
+        values *= 10
+        values += place_digits
+        index += 1
+    return values, leading_zero
 
 
 def _parse_line(line: str, fmt: str, path: str | Path, lineno: int) -> tuple[int, int]:
@@ -360,7 +405,6 @@ def _histogram(values: np.ndarray) -> dict[int, int]:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: Largest argument of exp that stays finite.
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
-_STANDARD_NORMAL = NormalDist()
 
 
 def _ndtr(x: ArrayLike) -> np.ndarray:
@@ -375,10 +419,12 @@ def _ndtri(u: ArrayLike) -> np.ndarray:
     """Standard normal quantile: statistics.NormalDist().inv_cdf, Wichura's
     Algorithm AS 241, of each element of u, in u's shape. ndtri(0) = -inf and
     ndtri(1) = inf, the two values at which inv_cdf raises."""
+    from statistics import NormalDist  # only synthesis needs it, so loading a file does not import it
+
     u = np.asarray(u, dtype=np.float64)
     ends = (u == 0.0) | (u == 1.0)
     inner = np.where(ends, 0.5, u).ravel().tolist()
-    x = np.fromiter(map(_STANDARD_NORMAL.inv_cdf, inner), np.float64, u.size).reshape(u.shape)
+    x = np.fromiter(map(NormalDist().inv_cdf, inner), np.float64, u.size).reshape(u.shape)
     return np.where(ends, np.copysign(np.inf, u - 0.5), x)
 
 

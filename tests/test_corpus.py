@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from sortbatch.corpus import (
     synth_generate,
     write_lengths_tsv,
 )
-from sortbatch.corpus import _fit_family, _ndtr, _ndtri
+from sortbatch.corpus import _fit_family, _ndtr, _ndtri, _plain_lengths
 
 from .helpers import corpora, keeps_a_pair, make_corpus
 
@@ -102,11 +103,13 @@ def test_corpus_refuses_columns_of_unequal_shape(columns):
 
 
 def test_corpus_accepts_narrow_integer_columns():
-    corpus = Corpus(np.array([1, 0], dtype=np.uint8), np.array([2, 3], dtype=np.int16), [4, 5])
+    strided_tgt = np.array([[4, 0], [5, 0]], dtype=np.uint8)[:, 0]  # already in its stored type, as loading gives it
+    corpus = Corpus(np.array([1, 0], dtype=np.uint8), np.array([2, 3], dtype=np.int16), strided_tgt)
     assert corpus.pairs == (SentencePair(1, 2, 4), SentencePair(0, 3, 5))
     assert [column.dtype for column in (corpus.ids, corpus.src, corpus.tgt)] == [
         np.dtype(np.int64), np.dtype(np.uint8), np.dtype(np.uint8)
     ]
+    assert corpus.src.flags.c_contiguous and corpus.tgt.flags.c_contiguous
 
 
 @pytest.mark.parametrize(
@@ -224,6 +227,7 @@ def test_load_rejects_non_integer(tmp_path):
         ("3\t4\n5\t+6\n", 2),
         ("3\t4\n\u0663\t5\n", 2),  # ARABIC-INDIC DIGIT THREE
         ("\u00b2\t5\n", 1),  # SUPERSCRIPT TWO
+        pytest.param("3\t4\n" * 20000 + "5\t+6\n", 20001, id="past_the_first_block"),
     ],
 )
 def test_load_names_first_malformed_line(tmp_path, text, line):
@@ -240,7 +244,7 @@ def test_load_names_first_malformed_line(tmp_path, text, line):
         (b"\xff\t1\n", 1),
         (b"3\t4\r\n5\t6\r\n7\t\xe2\x82", 3),  # CRLF lines, a cut multi-byte character at the end
         (b"3\t4\r5\t6\r\xc3\x28\t1\r", 3),  # lone CR lines
-        (b"3\t4\n" * 5000 + b"1\t\xff\n", 5001),  # past the reader's first chunk
+        (b"3\t4\n" * 5000 + b"1\t\xff\n", 5001),  # a late line, numbered by the newlines before the bad byte
     ],
     ids=["lf", "first_line", "crlf_truncated", "cr", "late"],
 )
@@ -260,12 +264,13 @@ def test_load_crlf_equals_lf(tmp_path):
 
 
 def test_canonical_file_is_its_own_lengths_tsv(tmp_path):
-    text = "3\t4\n12\t1\n100\t99\n"
-    path = tmp_path / "c.tsv"
-    path.write_text(text, encoding="utf-8")
-    corpus = load_corpus(path)
-    assert vars(corpus)["lengths_tsv"] == text.encode()  # kept by load_corpus, not rendered again
-    assert corpus_hash(corpus) == hashlib.sha256(text.encode()).hexdigest()
+    lines = "3\t4\n12\t1\n100\t99\n"
+    for text in (lines, lines * 10000):  # one block of the reader, and several
+        path = tmp_path / "c.tsv"
+        path.write_text(text, encoding="utf-8")
+        corpus = load_corpus(path)
+        assert vars(corpus)["lengths_tsv"] == text.encode()  # kept by load_corpus, not rendered again
+        assert corpus_hash(corpus) == hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -275,8 +280,9 @@ def test_canonical_file_is_its_own_lengths_tsv(tmp_path):
         (b"3\t040\n7\t1\n", b"3\t40\n7\t1\n"),
         (b"3\t4\n1\t1", b"3\t4\n1\t1\n"),  # no final newline
         (b"3\t4\r\n1\t1\r\n12\t9\r\n", b"3\t4\n1\t1\n12\t9\n"),
+        (b"3\t4\n" * 20000 + b"7\t01\n", b"3\t4\n" * 20000 + b"7\t1\n"),
     ],
-    ids=["leading_zero", "leading_zero_inside", "no_final_newline", "crlf"],
+    ids=["leading_zero", "leading_zero_inside", "no_final_newline", "crlf", "leading_zero_past_the_first_block"],
 )
 def test_other_files_hash_as_their_rendered_columns(tmp_path, data, rendered):
     path = tmp_path / "c.tsv"
@@ -294,15 +300,60 @@ def test_load_rejects_length_beyond_int64(tmp_path):
         load_corpus(path)
 
 
+def plain_lengths_reference(data):
+    """_plain_lengths line by line: each line two ASCII integers of 1 to 18
+    digits joined by one tab, the end of the bytes ending the last line."""
+    rows = []
+    for line in data.removesuffix(b"\n").split(b"\n"):
+        columns = line.split(b"\t")
+        if len(columns) != 2 or not all(1 <= len(c) <= 18 and set(c) <= set(b"0123456789") for c in columns):
+            return None
+        rows.append(columns)
+    canonical = data.endswith(b"\n") and not any(c.startswith(b"0") for row in rows for c in row)
+    return [[int(c) for c in row] for row in rows], canonical
+
+
+_short_integers = st.text("0123456789", min_size=1, max_size=3)
+_wide_integers = st.integers(0, 20).flatmap(lambda width: st.text("0123456789", min_size=width, max_size=width))
+_integers = st.one_of(_short_integers, _short_integers, _short_integers, _wide_integers).map(str.encode)
+_lines = st.builds(lambda src, tgt: src + b"\t" + tgt, _integers, _integers)
+_files = st.builds(
+    lambda lines, end: b"\n".join(lines) + end, st.lists(_lines, max_size=12), st.sampled_from([b"", b"\n"])
+)
+_stray = st.sampled_from([b"\t", b"\n", b" ", b"\r", b"+", b"/", b":", b"\xff"])
+_lengths_files = st.one_of(
+    _files,
+    st.builds(lambda data, stray, at: data[:at] + stray + data[at:], _files, _stray, st.integers(0, 100)),
+)
+
+
+@given(_lengths_files)
+@settings(max_examples=300)
+def test_plain_lengths_reads_as_the_line_by_line_reference(data):
+    expected = plain_lengths_reference(data)
+    for block in (1, 2, 7, 64):  # blocks that break at every position
+        with mock.patch("sortbatch.corpus._PARSE_BYTES", block):
+            plain = _plain_lengths(data)
+        if expected is None:
+            assert plain is None
+        else:
+            lengths, canonical = plain
+            assert lengths.dtype.kind == "u" and lengths.shape == (len(expected[0]), 2)
+            assert (lengths.tolist(), canonical) == expected
+
+
 def test_loading_lengths_does_not_import_scipy(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("3\t4\n1\t1\n", encoding="utf-8")
+    # statistics and numpy.typing serve synthesis and annotations only.
+    unneeded = ["numpy.typing", "scipy.optimize", "scipy.special", "statistics"]
     code = (
-        "import sys, sortbatch; sortbatch.load_corpus(sys.argv[1]); "
-        "sys.exit('scipy.optimize' in sys.modules or 'scipy.special' in sys.modules)"
+        "import json, sys, sortbatch; sortbatch.load_corpus(sys.argv[1]); "
+        "print(json.dumps(sorted(set(sys.argv[2:]) & set(sys.modules))))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code, str(path)], env=env).returncode == 0
+    run = subprocess.run([sys.executable, "-c", code, str(path), *unneeded], env=env, capture_output=True, check=True)
+    assert json.loads(run.stdout) == []
 
 
 def test_synthesising_from_the_cli_does_not_import_scipy(tmp_path):
@@ -397,11 +448,6 @@ def test_filter_above_the_column_type_keeps_every_pair():
     assert corpus.src.dtype == corpus.tgt.dtype == np.uint8
     kept = filter_max_len(corpus, 1000)
     assert list(zip(kept.src.tolist(), kept.tgt.tolist())) == [(3, 255), (200, 7)]
-
-
-def test_filter_rejects_bad_limit():
-    with pytest.raises(ValueError):
-        filter_max_len(make_corpus([1]), 0)
 
 
 @given(corpora, st.integers(1, 40))
