@@ -218,7 +218,9 @@ def _run_cell(
 
 def _publish(stage: Path, out: Path) -> None:
     """Rename stage onto out; an earlier sweep there is moved aside (suffix
-    .old), put back if the rename fails, and deleted once it succeeds."""
+    .old), put back if the rename fails, and deleted once it succeeds. The new
+    sweep is in place by then, so a failed delete fails nothing: simulate's
+    leftover note names the .old directory."""
     if not out.exists():
         stage.rename(out)
         return
@@ -229,7 +231,10 @@ def _publish(stage: Path, out: Path) -> None:
     except BaseException:
         aside.rename(out)
         raise
-    shutil.rmtree(aside)
+    try:
+        shutil.rmtree(aside)
+    except OSError:
+        pass
 
 
 def _leftovers(out_dir: Path) -> list[Path]:

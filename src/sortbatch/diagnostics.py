@@ -41,13 +41,11 @@ __all__ = [
     "BatchSeries",
     "AutocorrResult",
     "CycleReport",
-    "IIDReport",
     "extract_series",
     "autocorrelation",
     "cycle_analysis",
     "default_max_lag",
     "iid_report",
-    "iid_report_to_dict",
     "write_iid_report_json",
 ]
 
@@ -82,16 +80,6 @@ class CycleReport:
 
     cycle_score: float
     n_cycles: int
-
-
-@dataclass(frozen=True)
-class IIDReport:
-    metric_tag: str
-    config: BatchPlanConfig
-    series_mean: float
-    series_std: float
-    autocorr: AutocorrResult
-    cycle: CycleReport | None = None
 
 
 def extract_series(
@@ -183,10 +171,12 @@ def default_max_lag(config: BatchPlanConfig, series_length: int) -> int:
     return max(1, min(2 * config.k, series_length // 2, series_length - 3))
 
 
-def iid_report(batches: Sequence[Batch], config: BatchPlanConfig) -> IIDReport:
-    """Autocorrelation at lags 1..default_max_lag plus cycle structure of one
-    run's padded_src series. A series too short for even lag 1 (fewer than
-    four batches) reports an empty, degenerate autocorrelation instead of failing."""
+def iid_report(batches: Sequence[Batch], config: BatchPlanConfig) -> dict:
+    """One run's iid.json document: autocorrelation of its padded_src series
+    at lags 1..default_max_lag (keyed by the lag as text) plus, under
+    partial_sort, its cycle structure (None otherwise). A series too short for
+    even lag 1 (fewer than four batches) reports an empty, degenerate
+    autocorrelation instead of failing."""
     batches = BatchStream.of(batches)
     series = extract_series(batches, "padded_src", config)
     max_lag = default_max_lag(config, len(series.values))
@@ -194,32 +184,16 @@ def iid_report(batches: Sequence[Batch], config: BatchPlanConfig) -> IIDReport:
         autocorr = autocorrelation(series, max_lag)
     else:
         autocorr = AutocorrResult(lags={}, degenerate=True)
-    return IIDReport(
-        metric_tag=series.metric_tag,
-        config=config,
-        series_mean=float(np.mean(series.values)),
-        series_std=float(np.std(series.values)),
-        autocorr=autocorr,
-        cycle=cycle_analysis(batches, config) if config.policy == PARTIAL_SORT else None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def iid_report_to_dict(report: IIDReport) -> dict:
     return {
-        "metric_tag": report.metric_tag,
-        "config": asdict(report.config),
-        "series_mean": report.series_mean,
-        "series_std": report.series_std,
-        "degenerate": report.autocorr.degenerate,
-        "lag_autocorrs": {str(lag): r for lag, r in sorted(report.autocorr.lags.items())},
-        "cycle": None if report.cycle is None else asdict(report.cycle),
+        "metric_tag": series.metric_tag,
+        "config": asdict(config),
+        "series_mean": float(np.mean(series.values)),
+        "series_std": float(np.std(series.values)),
+        "degenerate": autocorr.degenerate,
+        "lag_autocorrs": {str(lag): r for lag, r in autocorr.lags.items()},
+        "cycle": asdict(cycle_analysis(batches, config)) if config.policy == PARTIAL_SORT else None,
     }
 
 
-def write_iid_report_json(report: IIDReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(iid_report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def write_iid_report_json(report: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -485,6 +485,28 @@ def test_failed_publish_puts_earlier_sweep_back(corpus_file, tmp_path, capsys, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "sweep"]
 
 
+def test_failed_delete_of_the_earlier_sweep_still_succeeds(corpus_file, tmp_path, capsys, monkeypatch):
+    """The earlier sweep, moved aside, fails to delete after the new one is in
+    place: simulate exits 0, prints its table and names the .old directory."""
+    out = tmp_path / "sweep"
+    assert run(simulate_args(corpus_file, out, k=("1",), seeds=("0",)), capsys)[0] == EXIT_OK
+    real_rmtree = shutil.rmtree
+
+    def rmtree(path, *args, **kwargs):
+        if Path(path).suffix == ".old":
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli.shutil, "rmtree", rmtree)
+    code, stdout, err = run(simulate_args(corpus_file, out), capsys)
+    (aside,) = [p for p in tmp_path.iterdir() if p.suffix == ".old"]
+    assert code == EXIT_OK
+    assert stdout == (out / "comparison.md").read_text(encoding="utf-8")
+    assert err == f"note: {aside}: left by a simulate that was killed or is still running\n"
+    assert (out / "run_k3_seed1" / "report.json").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([aside.name, "corpus.tsv", "sweep"])
+
+
 @pytest.mark.parametrize("suffix", [".tmp", ".old", ".0a1b2c3d.tmp"])
 def test_leftover_of_a_killed_run_with_this_pid_blocks_nothing(suffix, corpus_file, tmp_path, capsys):
     """A killed simulate may leave .sweep.PID.TOKEN.tmp (.sweep.PID.tmp before

@@ -20,7 +20,6 @@ from sortbatch.diagnostics import (
     default_max_lag,
     extract_series,
     iid_report,
-    iid_report_to_dict,
     write_iid_report_json,
 )
 
@@ -319,25 +318,25 @@ def test_partial_sort_stream_with_sorted_tail_is_not_degenerate(short_corpus):
     that keeps half the series in every lag never sees a constant slice."""
     config = BatchPlanConfig(m=64, k=500, policy=PARTIAL_SORT, seed=1)
     report = iid_report(run_epochs(short_corpus, config), config)
-    assert not report.autocorr.degenerate
-    assert sorted(report.autocorr.lags) == list(range(1, 313))
+    assert not report["degenerate"]
+    assert sorted(report["lag_autocorrs"], key=int) == [str(lag) for lag in range(1, 313)]
 
 
 def test_iid_report_structure():
     corpus = make_corpus([(i % 11 + 1, i % 5 + 1) for i in range(64)])
     config = BatchPlanConfig(m=4, k=4, policy=PARTIAL_SORT, seed=0)
     report = iid_report(run_epochs(corpus, config), config)
-    assert report.metric_tag == "padded_src"
-    assert set(report.autocorr.lags) == set(range(1, 9))
-    assert report.cycle is not None and report.cycle.cycle_score == 1.0
-    assert report.series_mean > 0
+    assert report["metric_tag"] == "padded_src"
+    assert set(report["lag_autocorrs"]) == {str(lag) for lag in range(1, 9)}
+    assert report["cycle"] is not None and report["cycle"]["cycle_score"] == 1.0
+    assert report["series_mean"] > 0
 
 
 def test_iid_report_no_cycles_outside_partial_sort():
     corpus = make_corpus([(i % 11 + 1, i % 5 + 1) for i in range(64)])
     config = BatchPlanConfig(m=4, k=1, policy=FULL_SORT, seed=0)
     report = iid_report(run_epochs(corpus, config), config)
-    assert report.cycle is None
+    assert report["cycle"] is None
 
 
 def test_unsorted_series_passes_randomness_sanity():
@@ -345,15 +344,15 @@ def test_unsorted_series_passes_randomness_sanity():
     config = BatchPlanConfig(m=8, k=1, policy=UNSORTED, seed=0)
     batches = run_epochs(corpus, config)
     report = iid_report(batches, config)
-    assert abs(report.autocorr.lags[1]) < 3 / math.sqrt(len(batches))
+    assert abs(report["lag_autocorrs"]["1"]) < 3 / math.sqrt(len(batches))
 
 
 def test_iid_report_degrades_on_tiny_streams():
     corpus = make_corpus([2, 3, 4])
     config = BatchPlanConfig(m=3, k=1, policy=UNSORTED, seed=0)
     report = iid_report(run_epochs(corpus, config), config)
-    assert report.autocorr.lags == {}
-    assert report.autocorr.degenerate
+    assert report["lag_autocorrs"] == {}
+    assert report["degenerate"]
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +360,17 @@ def test_iid_report_degrades_on_tiny_streams():
 # ---------------------------------------------------------------------------
 
 
-def test_iid_report_json_shape(tmp_path):
+@pytest.mark.parametrize(
+    "config",
+    [BatchPlanConfig(m=3, k=2, policy=PARTIAL_SORT, seed=5), BatchPlanConfig(m=3, policy=FULL_SORT, seed=5)],
+    ids=["partial_sort", "full_sort"],
+)
+def test_iid_json_is_the_report(tmp_path, config):
+    """iid.json holds exactly the document iid_report returns; the cycle is
+    null outside partial_sort."""
     corpus = make_corpus([(i % 7 + 1, i % 7 + 1) for i in range(48)])
-    config = BatchPlanConfig(m=3, k=2, policy=PARTIAL_SORT, seed=5)
     report = iid_report(run_epochs(corpus, config), config)
-    d = iid_report_to_dict(report)
-    assert d["metric_tag"] == "padded_src"
-    assert d["cycle"] == {"cycle_score": report.cycle.cycle_score, "n_cycles": report.cycle.n_cycles}
-    assert d["config"]["k"] == 2
-    assert all(isinstance(k, str) for k in d["lag_autocorrs"])
     path = tmp_path / "iid.json"
     write_iid_report_json(report, path)
-    assert json.loads(path.read_text())["config"]["m"] == 3
+    assert json.loads(path.read_text()) == report
+    assert (report["cycle"] is None) == (config.policy == FULL_SORT)
