@@ -161,7 +161,11 @@ class BatchStream(Sequence[Batch]):
 
     @property
     def length_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The src and the tgt lengths of each batch summed, in int64 whatever the column dtypes."""
+        """The src and the tgt lengths of each batch summed, in int64 whatever the column dtypes.
+        Raises ValueError where a sum could pass the int64 maximum instead of wrapping."""
+        bound = int(self.sizes.max()) * max(int(self.padded_src.max()), int(self.padded_tgt.max()))
+        if bound > np.iinfo(np.int64).max:
+            raise ValueError(f"lengths too large: a batch length sum of up to {bound} does not fit in int64")
         return tuple(np.add.reduceat(side, self.starts, dtype=np.int64) for side in (self.src, self.tgt))
 
     def __len__(self) -> int:

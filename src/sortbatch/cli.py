@@ -26,7 +26,7 @@ import re
 import secrets
 import shutil
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,6 @@ from .corpus import (
     LENGTHS_TSV,
     LOGNORMAL,
     Corpus,
-    LengthStats,
     SynthParams,
     compute_stats,
     corpus_hash,
@@ -47,7 +46,6 @@ from .corpus import (
     write_lengths_tsv,
 )
 from .cost import (
-    CostComparison,
     RunReport,
     compare_costs,
     comparison_to_csv,
@@ -147,9 +145,9 @@ def _sweep_record(spec: SweepSpec, digest: str) -> dict:
     }
 
 
-def run_sweep(spec: SweepSpec) -> CostComparison:
+def run_sweep(spec: SweepSpec) -> dict:
     """Execute every (k, seed) cell of the sweep, write all output files and
-    return the comparison table.
+    return the comparison document (cost.compare_costs).
 
     Layout under spec.out_dir:
       corpus.tsv, sweep.json, comparison.csv, comparison.md,
@@ -279,20 +277,21 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _render(comparison: CostComparison, fmt: str) -> str:
+def _render(comparison: dict, fmt: str) -> str:
     """The table in one of FORMATS, by the comparison_to_* bound when called (a tracer rebinds them)."""
     return {"csv": comparison_to_csv, "md": comparison_to_markdown, "json": comparison_to_json}[fmt](comparison)
 
 
-def _render_stats(stats: LengthStats, max_len: int | None, fmt: str) -> str:
-    """The stats table: every LengthStats field but the histograms, then
-    max_len_filter, the --max-len applied (None if none). Only json adds the
-    histograms (with string keys, so sort_keys orders them as text)."""
-    values = {f.name: getattr(stats, f.name) for f in fields(LengthStats) if not f.name.startswith("histogram_")}
+def _render_stats(stats: dict, max_len: int | None, fmt: str) -> str:
+    """The stats table: every key of the compute_stats document but the
+    histograms, in its order, then max_len_filter, the --max-len applied (None
+    if none). Only json adds the histograms (with string keys, so sort_keys
+    orders them as text)."""
+    values = {name: v for name, v in stats.items() if not name.startswith("histogram_")}
     values["max_len_filter"] = max_len
     if fmt == "json":
-        values["histogram_src"] = {str(k): v for k, v in stats.histogram_src.items()}
-        values["histogram_tgt"] = {str(k): v for k, v in stats.histogram_tgt.items()}
+        for side in ("histogram_src", "histogram_tgt"):
+            values[side] = {str(k): v for k, v in stats[side].items()}
         return json.dumps(values, indent=2, sort_keys=True) + "\n"
     cells = {
         name: format(v, ".4f") if isinstance(v, float) else ("" if v is None else str(v))
@@ -305,12 +304,10 @@ def _render_stats(stats: LengthStats, max_len: int | None, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _histogram_csv(stats: LengthStats) -> str:
-    lengths = sorted(set(stats.histogram_src) | set(stats.histogram_tgt))
+def _histogram_csv(stats: dict) -> str:
+    src, tgt = stats["histogram_src"], stats["histogram_tgt"]
     lines = ["length,src_count,tgt_count"]
-    lines += [
-        f"{n},{stats.histogram_src.get(n, 0)},{stats.histogram_tgt.get(n, 0)}" for n in lengths
-    ]
+    lines += [f"{n},{src.get(n, 0)},{tgt.get(n, 0)}" for n in sorted(src.keys() | tgt.keys())]
     return "\n".join(lines) + "\n"
 
 
@@ -404,7 +401,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     corpus = synth_generate(_synth_params(args))
     write_lengths_tsv(corpus, args.out)
     stats = compute_stats(corpus)  # the moments made, which a fit that has no root misses
-    print(f"wrote {len(corpus)} pairs (src mean {stats.mean_src:.4f}, std {stats.std_src:.4f}) to {args.out}")
+    print(f"wrote {len(corpus)} pairs (src mean {stats['mean_src']:.4f}, std {stats['std_src']:.4f}) to {args.out}")
     return EXIT_OK
 
 
@@ -447,12 +444,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_comparison(comparison: CostComparison, fmt: str, out: Path | None) -> None:
+def _emit_comparison(comparison: dict, fmt: str, out: Path | None) -> None:
     """Write the table in the chosen format to `out`, or stdout if None. A
     missing baseline is noted on stderr only once the table is written, so a
     failed write leaves stderr holding just its error."""
     _emit(_render(comparison, fmt), out)
-    if comparison.baseline_missing:
+    if comparison["baseline_missing"]:
         print("warning: no unsorted baseline among reports; ratio columns omitted", file=sys.stderr)
 
 

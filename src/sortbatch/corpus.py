@@ -50,7 +50,6 @@ __all__ = [
     "CorpusFormatError",
     "SentencePair",
     "Corpus",
-    "LengthStats",
     "SynthParams",
     "load_corpus",
     "filter_max_len",
@@ -144,23 +143,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-@dataclass(frozen=True)
-class LengthStats:
-    """Pair count and per-side length statistics of a corpus, in the order
-    `sortbatch stats` prints them; the two histograms come last."""
-
-    n_pairs: int
-    mean_src: float
-    std_src: float
-    max_src: int
-    mean_tgt: float
-    std_tgt: float
-    max_tgt: int
-    mean_pairwise_abs_diff: float
-    histogram_src: dict[int, int]
-    histogram_tgt: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -375,21 +357,23 @@ def shuffle(corpus: Corpus, seed: int) -> Corpus:
     return Corpus(corpus.ids[permutation], corpus.src[permutation], corpus.tgt[permutation])
 
 
-def compute_stats(corpus: Corpus) -> LengthStats:
-    """Population statistics over all pairs (std with ddof=0)."""
+def compute_stats(corpus: Corpus) -> dict:
+    """The stats document: population statistics over all pairs (std with
+    ddof=0), keyed in the order `sortbatch stats` prints them, then the two
+    histograms, each {length: count} with int keys."""
     src, tgt = corpus.src, corpus.tgt
-    return LengthStats(
-        n_pairs=len(corpus),
-        mean_src=float(src.mean()),
-        std_src=float(src.std()),
-        max_src=int(src.max()),
-        mean_tgt=float(tgt.mean()),
-        std_tgt=float(tgt.std()),
-        max_tgt=int(tgt.max()),
-        mean_pairwise_abs_diff=float(np.abs(np.subtract(src, tgt, dtype=np.int64)).mean()),
-        histogram_src=_histogram(src),
-        histogram_tgt=_histogram(tgt),
-    )
+    return {
+        "n_pairs": len(corpus),
+        "mean_src": float(src.mean()),
+        "std_src": float(src.std()),
+        "max_src": int(src.max()),
+        "mean_tgt": float(tgt.mean()),
+        "std_tgt": float(tgt.std()),
+        "max_tgt": int(tgt.max()),
+        "mean_pairwise_abs_diff": float(np.abs(np.subtract(src, tgt, dtype=np.int64)).mean()),
+        "histogram_src": _histogram(src),
+        "histogram_tgt": _histogram(tgt),
+    }
 
 
 def _histogram(values: np.ndarray) -> dict[int, int]:

@@ -46,7 +46,6 @@ __all__ = [
     "AVG_DEFINITION",
     "BatchCost",
     "RunReport",
-    "CostComparison",
     "cost_of_batch",
     "summarize_run",
     "compare_costs",
@@ -190,22 +189,15 @@ _CELL_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class CostComparison:
-    """One row per policy/k cell; each row is a dict in comparison.csv column order."""
-
-    m: int
-    corpus_hash: str | None
-    rows: tuple[dict, ...]
-    baseline_missing: bool
-
-
 def _group_key(report: RunReport) -> tuple[int, int]:
     return (_POLICY_RANK[report.config.policy], report.config.k)
 
 
-def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
-    """Merge per-seed reports into one row per policy/k cell.
+def compare_costs(reports: Sequence[RunReport]) -> dict:
+    """Merge per-seed reports into the comparison document: a dict with the
+    keys m, corpus_hash, rows (one dict per policy/k cell, in comparison.csv
+    column order) and baseline_missing. The three comparison_to_* functions
+    print it as it is.
 
     Ratio columns divide each cell by the unsorted baseline row, and are None
     where the baseline value is 0; without an unsorted report the ratios are
@@ -245,12 +237,7 @@ def compare_costs(reports: Sequence[RunReport]) -> CostComparison:
             if ratio
         }
         rows.append({"policy": first.policy, "k": k_label(first), "runs": len(cell), **means, **ratios})
-    return CostComparison(
-        m=reports[0].config.m,
-        corpus_hash=hashes[0],
-        rows=tuple(rows),
-        baseline_missing=not baseline,
-    )
+    return {"m": reports[0].config.m, "corpus_hash": hashes[0], "rows": rows, "baseline_missing": not baseline}
 
 
 # ---------------------------------------------------------------------------
@@ -321,33 +308,33 @@ def _fmt(value: float | int | str | None, spec: str = ".6f") -> str:
     return format(value, spec)
 
 
-def comparison_to_csv(comparison: CostComparison) -> str:
+def comparison_to_csv(comparison: dict) -> str:
     """Comparison table as CSV text; floats fixed to 6 decimals."""
-    lines = [",".join(comparison.rows[0])]
-    for row in comparison.rows:
+    lines = [",".join(comparison["rows"][0])]
+    for row in comparison["rows"]:
         lines.append(",".join(map(_fmt, row.values())))
     return "\n".join(lines) + "\n"
 
 
-def comparison_to_markdown(comparison: CostComparison) -> str:
+def comparison_to_markdown(comparison: dict) -> str:
     """Comparison table as a markdown table of per-side averaged padded
     batch lengths by k, with ratios against the unsorted row."""
     header = "| policy | k | avg padded src | avg padded tgt | ratio src | ratio tgt |"
     rule = "|---|---|---|---|---|---|"
     lines = [header, rule]
-    for row in comparison.rows:
+    for row in comparison["rows"]:
         ratio_src = _fmt(row["ratio_avg_src"], ".2f") or "-"
         ratio_tgt = _fmt(row["ratio_avg_tgt"], ".2f") or "-"
         lines.append(
             f"| {row['policy']} | {row['k']} | {row['avg_padded_src']:.2f}"
             f" | {row['avg_padded_tgt']:.2f} | {ratio_src} | {ratio_tgt} |"
         )
-    if comparison.baseline_missing:
+    if comparison["baseline_missing"]:
         lines.append("")
         lines.append("no unsorted baseline: ratio columns omitted")
     return "\n".join(lines) + "\n"
 
 
-def comparison_to_json(comparison: CostComparison) -> str:
-    return json.dumps(asdict(comparison), indent=2, sort_keys=True) + "\n"
+def comparison_to_json(comparison: dict) -> str:
+    return json.dumps(comparison, indent=2, sort_keys=True) + "\n"
 

@@ -13,9 +13,11 @@ import pytest
 from sortbatch import batcher, cli
 from sortbatch.batcher import BatchPlanConfig, config_for_k, k_label
 from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, collect_reports, main, run_sweep
-from sortbatch.corpus import SentencePair, SynthParams, compute_stats, load_corpus
+from sortbatch.corpus import SentencePair, SynthParams, compute_stats, filter_max_len, load_corpus
 from sortbatch.cost import RunReport, compare_costs
 from sortbatch.diagnostics import write_iid_report_json
+
+from .test_output_digests import SWEEPS
 
 GEN_FLAGS = ["--n", "200", "--mean-src", "10", "--std-src", "3", "--max-len", "50"]
 
@@ -48,8 +50,8 @@ def test_gen_prints_the_src_moments_it_wrote(tmp_path, capsys):
     code, stdout, _ = run(["gen", *flags, "--length-dist", "normal", "--out", str(out)], capsys)
     assert code == EXIT_OK
     stats = compute_stats(load_corpus(out))
-    assert stdout == f"wrote 20000 pairs (src mean {stats.mean_src:.4f}, std {stats.std_src:.4f}) to {out}\n"
-    assert (f"{stats.mean_src:.4f}", f"{stats.std_src:.4f}") == ("13.9255", "7.9212")
+    assert stdout == f"wrote 20000 pairs (src mean {stats['mean_src']:.4f}, std {stats['std_src']:.4f}) to {out}\n"
+    assert (f"{stats['mean_src']:.4f}", f"{stats['std_src']:.4f}") == ("13.9255", "7.9212")
 
 
 def test_gen_single_pair(tmp_path, capsys):
@@ -217,6 +219,20 @@ def test_stats_bytes_with_and_without_limit(fmt, max_len, tmp_path, capsys):
     code, stdout, _ = run(["stats", str(path), "--format", fmt, *limit, "--out", str(out)], capsys)
     assert (code, stdout) == (EXIT_OK, "")
     assert out.read_bytes() == STATS_BYTES[fmt, max_len].encode()
+
+
+@pytest.mark.parametrize("max_len", [None, 5])
+def test_stats_json_is_the_compute_stats_document(max_len, tmp_path, capsys):
+    path = tmp_path / "three.tsv"
+    path.write_text("3\t4\n1\t2\n7\t5\n", encoding="utf-8")
+    limit = [] if max_len is None else ["--max-len", str(max_len)]
+    code, stdout, _ = run(["stats", str(path), "--format", "json", *limit], capsys)
+    assert code == EXIT_OK
+    corpus = load_corpus(path) if max_len is None else filter_max_len(load_corpus(path), max_len)
+    stats = compute_stats(corpus)
+    for side in ("histogram_src", "histogram_tgt"):
+        stats[side] = {str(length): count for length, count in stats[side].items()}
+    assert json.loads(stdout) == {**stats, "max_len_filter": max_len}
 
 
 def test_stats_limit_above_the_column_type_keeps_every_pair(corpus_file, capsys):
@@ -890,6 +906,24 @@ def test_corpus_hash_names_the_written_corpus_tsv(source, corpus_file, tmp_path)
         assert written == corpus_file.read_bytes()
     elif source == "crlf_leading_zero":
         assert written == corpus_file.read_bytes() != given.read_bytes()
+
+
+#: sha256 of the json table `simulate --format json` prints for each synthetic
+#: sweep of tests/test_output_digests.py, which pins only the files it writes.
+JSON_TABLE_DIGESTS = {
+    "u8": "1969bb26ad7f3da00ec459ab3eeacafc435529882a1d91eb8f5effa74135b48e",
+    "u16": "161b4fe6555ea39a9273981ff8c36a50253e3f0b84a81e186245391da08ea3d8",
+    "u32": "9ab72de2a37bd1e98bc548cfd009e0a29c46ad18813524a29fa461aa7bbabf22",
+}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_simulate_prints_the_pinned_json_table_and_report_reprints_it(name, tmp_path, capsys):
+    out = tmp_path / name
+    code, stdout, _ = run(["simulate", *SWEEPS[name], "--format", "json", "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(stdout.encode()).hexdigest() == JSON_TABLE_DIGESTS[name]
+    assert run(["report", str(out), "--format", "json"], capsys) == (EXIT_OK, stdout, "")
 
 
 def test_report_json_format(corpus_file, tmp_path, capsys):

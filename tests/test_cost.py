@@ -201,7 +201,7 @@ def test_avg_padded_at_least_corpus_mean_on_full_batches(case):
         return  # the bound needs equal batch sizes
     batches = run_epochs(corpus, config)
     report = summarize_run(batches, config)
-    assert report.avg_padded_src >= compute_stats(corpus).mean_src - 1e-9
+    assert report.avg_padded_src >= compute_stats(corpus)["mean_src"] - 1e-9
 
 
 def test_policy_cost_ordering_over_seeds():
@@ -261,29 +261,29 @@ def test_ratio_against_unsorted_baseline():
     unsorted = _report(UNSORTED, 1, 0, [batch_of([61, 61]), batch_of([62, 62], iteration=1)])
     partial = _report(PARTIAL_SORT, 1000, 0, [batch_of([22, 22]), batch_of([23, 23], iteration=1)])
     comparison = compare_costs([unsorted, partial])
-    assert not comparison.baseline_missing
-    rows = {row["policy"]: row for row in comparison.rows}
+    assert not comparison["baseline_missing"]
+    rows = {row["policy"]: row for row in comparison["rows"]}
     assert rows[UNSORTED]["ratio_avg_src"] == 1.0
     assert math.isclose(rows[PARTIAL_SORT]["ratio_avg_src"], 22.5 / 61.5)
 
 
 def test_single_unsorted_report_has_unit_ratio():
     comparison = compare_costs([_report(UNSORTED, 1, 0, [batch_of([3, 4])])])
-    assert len(comparison.rows) == 1
-    assert comparison.rows[0]["ratio_avg_src"] == 1.0
+    assert len(comparison["rows"]) == 1
+    assert comparison["rows"][0]["ratio_avg_src"] == 1.0
 
 
 def test_missing_baseline_flags_and_omits_ratios():
     comparison = compare_costs([_report(PARTIAL_SORT, 5, 0, [batch_of([3, 4])])])
-    assert comparison.baseline_missing
-    assert comparison.rows[0]["ratio_avg_src"] is None
+    assert comparison["baseline_missing"]
+    assert comparison["rows"][0]["ratio_avg_src"] is None
 
 
 def test_zero_baseline_value_leaves_its_ratio_empty():
     unsorted = _report(UNSORTED, 1, 0, [batch_of([3, 4])])
     partial = _report(PARTIAL_SORT, 3, 0, [batch_of([3, 4])])
     comparison = compare_costs([replace(unsorted, avg_padded_src=0.0, total_linear_cost=0.0), partial])
-    row = comparison.rows[1]
+    row = comparison["rows"][1]
     assert (row["ratio_avg_src"], row["ratio_linear"]) == (None, None)
     assert math.isclose(row["ratio_avg_tgt"], 1.0)
 
@@ -292,7 +292,7 @@ def test_identical_reports_ratio_one():
     a = _report(UNSORTED, 1, 0, [batch_of([4, 4])])
     b = _report(PARTIAL_SORT, 3, 0, [batch_of([4, 4])])
     comparison = compare_costs([a, b])
-    assert math.isclose(comparison.rows[1]["ratio_avg_src"], 1.0)
+    assert math.isclose(comparison["rows"][1]["ratio_avg_src"], 1.0)
 
 
 def test_rows_grouped_and_ordered():
@@ -304,12 +304,25 @@ def test_rows_grouped_and_ordered():
         _report(UNSORTED, 1, 0, [batch_of([6, 6])]),
     ]
     comparison = compare_costs(reports)
-    assert [(r["policy"], r["k"], r["runs"]) for r in comparison.rows] == [
+    assert [(r["policy"], r["k"], r["runs"]) for r in comparison["rows"]] == [
         (UNSORTED, "1", 1),
         (PARTIAL_SORT, "100", 2),
         (PARTIAL_SORT, "250", 1),
         (FULL_SORT, "all", 1),
     ]
+
+
+@pytest.mark.parametrize("with_baseline", [True, False])
+def test_comparison_json_is_the_comparison(with_baseline):
+    reports = [
+        _report(PARTIAL_SORT, 4, 0, [batch_of([3, 3]), batch_of([4, 5], iteration=1)]),
+        _report(FULL_SORT, 1, 0, [batch_of([2, 3])]),
+    ]
+    if with_baseline:
+        reports.append(_report(UNSORTED, 1, 0, [batch_of([3, 7]), batch_of([1, 2], iteration=1)]))
+    comparison = compare_costs(reports)
+    assert comparison["baseline_missing"] is not with_baseline
+    assert json.loads(comparison_to_json(comparison)) == comparison
 
 
 def test_mixed_m_rejected():
@@ -395,8 +408,8 @@ def test_renderers_are_deterministic():
     assert comparison_to_csv(comparison) == comparison_to_csv(comparison)
     md = comparison_to_markdown(comparison)
     assert md.splitlines()[0].startswith("| policy | k |")
-    assert len(md.splitlines()) == 2 + len(comparison.rows)
+    assert len(md.splitlines()) == 2 + len(comparison["rows"])
     csv_text = comparison_to_csv(comparison)
     assert csv_text.splitlines()[0].split(",")[0] == "policy"
-    assert len(csv_text.splitlines()) == 1 + len(comparison.rows)
+    assert len(csv_text.splitlines()) == 1 + len(comparison["rows"])
     assert comparison_to_json(comparison).endswith("\n")

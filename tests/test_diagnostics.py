@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortbatch.batcher import FULL_SORT, PARTIAL_SORT, UNSORTED, BatchPlanConfig, BatchStream, run_epochs
-from sortbatch.corpus import SynthParams, synth_generate
+from sortbatch.corpus import Corpus, SynthParams, synth_generate
 from sortbatch.cost import summarize_run
 from sortbatch.diagnostics import (
     METRICS,
@@ -52,6 +52,18 @@ def test_mean_metrics_sum_byte_lengths_in_int64():
     batches = [[(p.src_len, p.tgt_len) for p in batch.pairs] for batch in stream]
     for side, tag in enumerate(("mean_src", "mean_tgt")):
         assert METRICS[tag](stream).tolist() == [sum(pair[side] for pair in b) / len(b) for b in batches]
+
+
+def test_mean_metrics_refuse_a_length_sum_past_int64():
+    """Four lengths of 2**62 + 1 in one batch sum past the int64 maximum: the
+    sum is refused, not wrapped (it once read as a mean of 1.0). Four lengths
+    whose sum just fits are averaged."""
+    for tag in ("mean_src", "mean_tgt"):
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            extract_series(run_epochs(Corpus(range(4), [2**62 + 1] * 4, [1] * 4), BatchPlanConfig(m=4)), tag)
+    largest = np.iinfo(np.int64).max // 4
+    stream = run_epochs(Corpus(range(4), [largest] * 4, [1] * 4), BatchPlanConfig(m=4))
+    assert math.isclose(extract_series(stream, "mean_src").values[0], largest)
 
 
 def test_extract_all_registered_metrics():
