@@ -27,6 +27,7 @@ if any, that divides it by the unsorted row.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import groupby
 from pathlib import Path
@@ -274,8 +275,12 @@ def report_from_dict(d: dict) -> RunReport:
     """Inverse of dataclasses.asdict. Raises ValueError on a missing, unknown or
     wrongly typed key, top-level or in config; a report.json written with the
     former per_batch block is rejected for that unknown key. Averages under
-    any avg_definition but AVG_DEFINITION are not comparable: refused too."""
+    any avg_definition but AVG_DEFINITION are not comparable: refused too, as
+    is a top-level number past the float range, which no mean can average."""
     _check_keys(d, RunReport, "report")
+    for name, value in d.items():
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"report field {name!r} is beyond the float range")
     if d.get("avg_definition", AVG_DEFINITION) != AVG_DEFINITION:
         raise ValueError(f"report field 'avg_definition' must be {AVG_DEFINITION!r}, got {d['avg_definition']!r}")
     _check_keys(d["config"], BatchPlanConfig, "report config")

@@ -12,7 +12,8 @@ testable proxies quantify that:
     Under this loader it is always 1.0: each refill cycle is one sorted
     block cut from its start into batches of m, so its padded_src cannot drop.
 
-iid_report diagnoses padded_src; the other METRICS tags go through
+A per-batch series is a float64 array, one value per batch in emission
+order. iid_report diagnoses padded_src; the other METRICS tags go through
 extract_series and autocorrelation.
 """
 
@@ -38,7 +39,6 @@ METRICS: dict[str, Callable[[BatchStream], np.ndarray]] = {
 
 __all__ = [
     "METRICS",
-    "BatchSeries",
     "AutocorrResult",
     "CycleReport",
     "extract_series",
@@ -48,20 +48,6 @@ __all__ = [
     "iid_report",
     "write_iid_report_json",
 ]
-
-
-@dataclass(frozen=True)
-class BatchSeries:
-    """One scalar per batch, in emission order."""
-
-    values: tuple[float, ...]
-    metric_tag: str
-    config: BatchPlanConfig | None = None
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
-            raise ValueError("series values must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -86,8 +72,9 @@ def extract_series(
     batches: Sequence[Batch],
     metric_tag: str,
     config: BatchPlanConfig | None = None,
-) -> BatchSeries:
-    """Per-batch scalar series for one of the METRICS tags."""
+) -> np.ndarray:
+    """One of the METRICS tags per batch, in emission order, as a read-only
+    float64 array. config is not read; it is kept for callers that pass it."""
     stream = BatchStream.of(batches)
     try:
         metric = METRICS[metric_tag]
@@ -95,11 +82,12 @@ def extract_series(
         raise ValueError(
             f"unknown metric tag {metric_tag!r}, expected one of {sorted(METRICS)}"
         ) from None
-    values = metric(stream).astype(float).tolist()
-    return BatchSeries(tuple(values), metric_tag, config)
+    values = metric(stream).astype(float)
+    values.flags.writeable = False
+    return values
 
 
-def autocorrelation(series: BatchSeries, max_lag: int) -> AutocorrResult:
+def autocorrelation(series: Sequence[float], max_lag: int) -> AutocorrResult:
     """Sample Pearson correlation of (v_t, v_{t+lag}) for lag in 1..max_lag.
 
     The same Pearson r as np.corrcoef(v[:-lag], v[lag:]), up to rounding in
@@ -113,11 +101,14 @@ def autocorrelation(series: BatchSeries, max_lag: int) -> AutocorrResult:
     A lag whose head or tail slice is constant, found exactly from the
     lengths of the first and last runs of equal values, or whose r is not
     finite reports 0 with the degenerate flag set. The series must be longer
-    than max_lag + 2 so every lag keeps at least three point pairs.
+    than max_lag + 2 so every lag keeps at least three point pairs, and its
+    values finite and non-negative.
     """
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    values = np.asarray(series.values, dtype=float)
+    values = np.asarray(series, dtype=float)
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError("series values must be finite and non-negative")
     n = values.size
     if n <= max_lag + 2:
         raise ValueError(f"series of length {n} too short for max_lag {max_lag}")
@@ -178,17 +169,17 @@ def iid_report(batches: Sequence[Batch], config: BatchPlanConfig) -> dict:
     even lag 1 (fewer than four batches) reports an empty, degenerate
     autocorrelation instead of failing."""
     batches = BatchStream.of(batches)
-    series = extract_series(batches, "padded_src", config)
-    max_lag = default_max_lag(config, len(series.values))
-    if len(series.values) > max_lag + 2:
+    series = extract_series(batches, "padded_src")
+    max_lag = default_max_lag(config, len(series))
+    if len(series) > max_lag + 2:
         autocorr = autocorrelation(series, max_lag)
     else:
         autocorr = AutocorrResult(lags={}, degenerate=True)
     return {
-        "metric_tag": series.metric_tag,
+        "metric_tag": "padded_src",
         "config": asdict(config),
-        "series_mean": float(np.mean(series.values)),
-        "series_std": float(np.std(series.values)),
+        "series_mean": float(np.mean(series)),
+        "series_std": float(np.std(series)),
         "degenerate": autocorr.degenerate,
         "lag_autocorrs": {str(lag): r for lag, r in autocorr.lags.items()},
         "cycle": asdict(cycle_analysis(batches, config)) if config.policy == PARTIAL_SORT else None,

@@ -806,6 +806,35 @@ def test_report_value_of_wrong_type_is_data_error(corpus_file, tmp_path, capsys,
     assert repr(key) in err and str(path) in err
 
 
+@pytest.mark.parametrize("key", ["total_linear_cost", "avg_padded_src"])
+def test_report_number_past_the_float_range_is_data_error(corpus_file, tmp_path, capsys, key):
+    """A 401-digit integer cannot be averaged as a float: refused at read with
+    exit 2, not an OverflowError traceback from the mean."""
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "3"), seeds=("0",)), capsys)
+    path = out / "run_k1_seed0" / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report[key] = 10**400
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, stdout, err = run(["report", str(out)], capsys)
+    assert code == EXIT_DATA
+    assert stdout == ""
+    assert repr(key) in err and "float range" in err and str(path) in err
+
+
+def test_report_round_trips_a_batch_size_past_the_float_range(corpus_file, tmp_path, capsys):
+    """Config fields are not averaged, so an m past the float range still reads back."""
+    out = tmp_path / "sweep"
+    argv = simulate_args(corpus_file, out)
+    argv[argv.index("--m") + 1] = str(10**400)
+    assert run(argv, capsys)[0] == EXIT_OK
+    assert json.loads((out / "run_k1_seed0" / "report.json").read_text(encoding="utf-8"))["config"]["m"] == 10**400
+    rt_csv = tmp_path / "rt.csv"
+    code, _, _ = run(["report", str(out), "--format", "csv", "--out", str(rt_csv)], capsys)
+    assert code == EXIT_OK
+    assert rt_csv.read_bytes() == (out / "comparison.csv").read_bytes()
+
+
 def test_report_other_avg_definition_is_data_error(corpus_file, tmp_path, capsys):
     """A cell whose averages follow another convention is not divided by the baseline."""
     out = tmp_path / "sweep"

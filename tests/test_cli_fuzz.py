@@ -110,7 +110,7 @@ RUN_DIRS = ("run_k1_seed0", "run_k3_seed0", "run_kall_seed0")
 REPORT_KEYS = [f.name for f in fields(RunReport) if f.name != "config"]
 CONFIG_KEYS = [f.name for f in fields(BatchPlanConfig)]
 DELETE = object()
-BAD_VALUES = [DELETE, None, "x", "", -1, 0, 1, 7, 10**30, 1.5, math.nan, math.inf, [], {}, True, False]
+BAD_VALUES = [DELETE, None, "x", "", -1, 0, 1, 7, 10**30, 10**400, 1.5, math.nan, math.inf, [], {}, True, False]
 #: (run dir, section, key, value) or (run dir, whole-file text)
 REPORT_EDIT = st.one_of(
     st.tuples(

@@ -13,7 +13,6 @@ from sortbatch.corpus import Corpus, SynthParams, synth_generate
 from sortbatch.cost import summarize_run
 from sortbatch.diagnostics import (
     METRICS,
-    BatchSeries,
     CycleReport,
     autocorrelation,
     cycle_analysis,
@@ -35,13 +34,12 @@ from .test_cost import batch_of
 def test_extract_padded_src_series():
     batches = [batch_of([2, 1]), batch_of([5, 3], iteration=1), batch_of([3, 3], iteration=2)]
     series = extract_series(batches, "padded_src")
-    assert series.values == (2.0, 5.0, 3.0)
-    assert series.metric_tag == "padded_src"
+    assert series.tolist() == [2.0, 5.0, 3.0]
 
 
 def test_extract_mean_src():
     series = extract_series([batch_of([1, 3])], "mean_src")
-    assert series.values == (2.0,)
+    assert series.tolist() == [2.0]
 
 
 def test_mean_metrics_sum_byte_lengths_in_int64():
@@ -63,7 +61,7 @@ def test_mean_metrics_refuse_a_length_sum_past_int64():
             extract_series(run_epochs(Corpus(range(4), [2**62 + 1] * 4, [1] * 4), BatchPlanConfig(m=4)), tag)
     largest = np.iinfo(np.int64).max // 4
     stream = run_epochs(Corpus(range(4), [largest] * 4, [1] * 4), BatchPlanConfig(m=4))
-    assert math.isclose(extract_series(stream, "mean_src").values[0], largest)
+    assert math.isclose(extract_series(stream, "mean_src")[0], largest)
 
 
 def test_extract_all_registered_metrics():
@@ -77,20 +75,32 @@ def test_extract_rejects_unknown_tag():
         extract_series([batch_of([1])], "perplexity")
 
 
-def test_series_rejects_bad_values():
-    with pytest.raises(ValueError):
-        BatchSeries((1.0, float("nan")), "padded_src")
-    with pytest.raises(ValueError):
-        BatchSeries((1.0, -2.0), "padded_src")
-
-
 # ---------------------------------------------------------------------------
 # autocorrelation
 # ---------------------------------------------------------------------------
 
 
+def test_series_rejects_bad_values():
+    for bad in (float("nan"), float("inf"), -2.0):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            autocorrelation([1.0, 2.0, bad, 3.0, 4.0, 5.0], max_lag=1)
+
+
+def test_a_series_is_a_read_only_array_and_autocorrelation_takes_any_sequence():
+    config = BatchPlanConfig(m=1, k=4, policy=PARTIAL_SORT, seed=0)
+    stream = run_epochs(make_corpus([1, 2, 3, 5, 8, 13, 21, 34]), config)
+    series = extract_series(stream, "padded_src")
+    assert isinstance(series, np.ndarray) and series.dtype == np.float64
+    assert np.array_equal(series, stream.padded_src)
+    with pytest.raises(ValueError, match="read-only"):
+        series[0] = 0.0
+    values = series.tolist()
+    lags = [autocorrelation(seq, max_lag=3).lags for seq in (values, tuple(values), series)]
+    assert lags[0] == lags[1] == lags[2]
+
+
 def test_alternating_series_is_anticorrelated():
-    series = BatchSeries(tuple(float(1 + i % 2) for i in range(100)), "padded_src")
+    series = [float(1 + i % 2) for i in range(100)]
     result = autocorrelation(series, max_lag=2)
     assert abs(result.lags[1] - (-1.0)) < 0.05
     assert abs(result.lags[2] - 1.0) < 0.05
@@ -98,21 +108,21 @@ def test_alternating_series_is_anticorrelated():
 
 def test_iid_series_is_uncorrelated():
     rng = np.random.default_rng(0)
-    series = BatchSeries(tuple(rng.uniform(0, 10, size=10_000)), "padded_src")
+    series = rng.uniform(0, 10, size=10_000)
     result = autocorrelation(series, max_lag=1)
     assert abs(result.lags[1]) < 0.05
     assert not result.degenerate
 
 
 def test_constant_series_degenerate_zero():
-    series = BatchSeries((4.0,) * 50, "padded_src")
+    series = (4.0,) * 50
     result = autocorrelation(series, max_lag=3)
     assert result.degenerate
     assert all(r == 0.0 for r in result.lags.values())
 
 
 def test_too_short_series_rejected():
-    series = BatchSeries((1.0, 2.0, 3.0), "padded_src")
+    series = (1.0, 2.0, 3.0)
     with pytest.raises(ValueError, match="too short"):
         autocorrelation(series, max_lag=1)
     with pytest.raises(ValueError):
@@ -122,11 +132,9 @@ def test_too_short_series_rejected():
 @given(st.lists(st.integers(0, 100).map(float), min_size=8, max_size=60))
 @settings(max_examples=60)
 def test_autocorr_bounded_and_reversal_symmetric(values):
-    series = BatchSeries(tuple(values), "padded_src")
-    reverse = BatchSeries(tuple(reversed(values)), "padded_src")
     max_lag = min(4, len(values) - 3)
-    fwd = autocorrelation(series, max_lag)
-    bwd = autocorrelation(reverse, max_lag)
+    fwd = autocorrelation(values, max_lag)
+    bwd = autocorrelation(values[::-1], max_lag)
     for lag in fwd.lags:
         assert -1.0 <= fwd.lags[lag] <= 1.0
         assert math.isclose(fwd.lags[lag], bwd.lags[lag], abs_tol=1e-9)
@@ -149,7 +157,7 @@ def corrcoef_per_lag(values, max_lag):
 
 
 def assert_matches_corrcoef(values, max_lag, tol):
-    result = autocorrelation(BatchSeries(tuple(values), "padded_src"), max_lag)
+    result = autocorrelation(values, max_lag)
     lags, zeroed = corrcoef_per_lag(values, max_lag)
     assert result.degenerate == bool(zeroed)
     assert sorted(result.lags) == list(range(1, max_lag + 1))
@@ -199,7 +207,7 @@ def short_corpus():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_autocorr_equals_per_lag_corrcoef_on_a_partial_sort_stream(short_corpus, seed):
     config = BatchPlanConfig(m=64, k=500, policy=PARTIAL_SORT, seed=seed)
-    values = extract_series(run_epochs(short_corpus, config), "padded_src").values
+    values = extract_series(run_epochs(short_corpus, config), "padded_src")
     # Lags up to n - 3, a wider window than default_max_lag: on seed 1 the
     # slices of the last lags (three point pairs) are constant.
     assert_matches_corrcoef(values, min(2 * config.k, len(values) - 3), tol=1e-12)
