@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -331,4 +332,4 @@ def write_batches_jsonl(stream: BatchStream, path: str | Path) -> None:
             gathered[ends[b:e] - lo - 1, -2:] = np.frombuffer(b"\n\0", dtype=np.uint8)
             pieces = gathered.tobytes().translate(None, b"\0").split(b"\n")[:-1]
             epoch, iteration, src, tgt = (column[b:e].tolist() for column in columns)
-            handle.write(b"".join(map(_LINE.__mod__, zip(epoch, iteration, pieces, src, tgt, strict=True))))
+            handle.write(_LINE * (e - b) % tuple(chain.from_iterable(zip(epoch, iteration, pieces, src, tgt, strict=True))))

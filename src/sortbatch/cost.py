@@ -206,7 +206,8 @@ def compare_costs(reports: Sequence[RunReport]) -> dict:
     All reports must describe runs over the same corpus, batch size, epoch
     count and drop_last setting, and no two the same (policy, k, seed) cell.
     A report whose corpus_hash is None counts as a corpus of its own: it
-    merges only with reports that lack a hash too.
+    merges only with reports that lack a hash too. A cell mean past the float
+    range is refused.
     """
     if not reports:
         raise ValueError("cannot compare an empty report list")
@@ -229,7 +230,11 @@ def compare_costs(reports: Sequence[RunReport]) -> dict:
     for _, group in groupby(ordered, key=_group_key):
         cell = list(group)
         first = cell[0].config
-        means = {column: float(np.mean([getattr(r, source) for r in cell])) for column, source, _ in _CELL_COLUMNS}
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = {column: float(np.mean([getattr(r, source) for r in cell])) for column, source, _ in _CELL_COLUMNS}
+        for column, mean in means.items():
+            if not np.isfinite(mean):
+                raise ValueError(f"the {column} mean of policy={first.policy} k={k_label(first)} is past the float range")
         if first.policy == UNSORTED:  # the one unsorted cell ranks first
             baseline = means
         ratios = {

@@ -164,9 +164,10 @@ def default_max_lag(config: BatchPlanConfig, series_length: int) -> int:
 
 def iid_report(batches: Sequence[Batch], config: BatchPlanConfig) -> dict:
     """One run's iid.json document: autocorrelation of its padded_src series
-    at lags 1..default_max_lag (keyed by the lag as text) plus, under
-    partial_sort, its cycle structure (None otherwise). A series too short for
-    even lag 1 (fewer than four batches) reports an empty, degenerate
+    at lags 1..default_max_lag (keyed by the lag as text, in lag order) plus,
+    under partial_sort, its cycle structure (None otherwise). The run's config
+    and mean padded_src are in its report.json. A series too short for even
+    lag 1 (fewer than four batches) reports an empty, degenerate
     autocorrelation instead of failing."""
     batches = BatchStream.of(batches)
     series = extract_series(batches, "padded_src")
@@ -176,15 +177,13 @@ def iid_report(batches: Sequence[Batch], config: BatchPlanConfig) -> dict:
     else:
         autocorr = AutocorrResult(lags={}, degenerate=True)
     return {
-        "metric_tag": "padded_src",
-        "config": asdict(config),
-        "series_mean": float(np.mean(series)),
-        "series_std": float(np.std(series)),
+        "cycle": asdict(cycle_analysis(batches, config)) if config.policy == PARTIAL_SORT else None,
         "degenerate": autocorr.degenerate,
         "lag_autocorrs": {str(lag): r for lag, r in autocorr.lags.items()},
-        "cycle": asdict(cycle_analysis(batches, config)) if config.policy == PARTIAL_SORT else None,
+        "metric_tag": "padded_src",
+        "series_std": float(np.std(series)),
     }
 
 
 def write_iid_report_json(report: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

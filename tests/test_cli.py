@@ -822,6 +822,22 @@ def test_report_number_past_the_float_range_is_data_error(corpus_file, tmp_path,
     assert repr(key) in err and "float range" in err and str(path) in err
 
 
+def test_report_cell_mean_past_the_float_range_is_data_error(corpus_file, tmp_path, capsys):
+    """Two seeds' avg_padded_src, each in the float range, sum past it: the
+    cell's mean is refused with exit 2, naming the cell and the column,
+    instead of printing inf."""
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "3")), capsys)
+    for path in out.glob("run_k3_seed*/report.json"):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        report["avg_padded_src"] = 1.7e308
+        path.write_text(json.dumps(report), encoding="utf-8")
+    code, stdout, err = run(["report", str(out), "--format", "csv"], capsys)
+    assert code == EXIT_DATA
+    assert stdout == ""
+    assert "avg_padded_src" in err and "policy=partial_sort k=3" in err and "float range" in err
+
+
 def test_report_round_trips_a_batch_size_past_the_float_range(corpus_file, tmp_path, capsys):
     """Config fields are not averaged, so an m past the float range still reads back."""
     out = tmp_path / "sweep"

@@ -349,7 +349,6 @@ def test_iid_report_structure():
     assert report["metric_tag"] == "padded_src"
     assert set(report["lag_autocorrs"]) == {str(lag) for lag in range(1, 9)}
     assert report["cycle"] is not None and report["cycle"]["cycle_score"] == 1.0
-    assert report["series_mean"] > 0
 
 
 def test_iid_report_no_cycles_outside_partial_sort():
@@ -394,3 +393,15 @@ def test_iid_json_is_the_report(tmp_path, config):
     write_iid_report_json(report, path)
     assert json.loads(path.read_text()) == report
     assert (report["cycle"] is None) == (config.policy == FULL_SORT)
+
+
+def test_iid_json_lists_lags_in_lag_order_without_report_json_facts(tmp_path):
+    """iid.json keys its lags "1".."L" in file order, not in text order, and
+    leaves the run's config and mean padded_src to report.json."""
+    corpus = make_corpus([(i % 13 + 1, i % 5 + 1) for i in range(240)])
+    config = BatchPlanConfig(m=4, k=6, policy=PARTIAL_SORT, seed=1)
+    path = tmp_path / "iid.json"
+    write_iid_report_json(iid_report(run_epochs(corpus, config), config), path)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert list(document["lag_autocorrs"]) == [str(lag) for lag in range(1, 13)]
+    assert list(document) == ["cycle", "degenerate", "lag_autocorrs", "metric_tag", "series_std"]
