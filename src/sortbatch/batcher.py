@@ -136,11 +136,13 @@ class BatchStream(Sequence[Batch]):
     def of(cls, batches: Sequence[Batch]) -> BatchStream:
         """The stream itself, or the columns of a plain sequence of batches.
         Either must hold a batch: this is every analysis's one empty-list check.
-        Each batch must hold pairs, padded to their longest src and tgt lengths."""
+        Each batch must hold pairs, padded to their longest src and tgt lengths,
+        and its ids, lengths and indices must fit in int64."""
         if not batches:
             raise ValueError("cannot analyze an empty batch stream")
         if isinstance(batches, cls):
             return batches
+        int64 = np.iinfo(np.int64)
         for b, batch in enumerate(batches):
             if not batch.pairs:
                 raise ValueError(f"batch {b} holds no pairs")
@@ -148,6 +150,9 @@ class BatchStream(Sequence[Batch]):
             longest = (max(p.src_len for p in batch.pairs), max(p.tgt_len for p in batch.pairs))
             if padded != longest:
                 raise ValueError(f"batch {b}: padded dims {padded} are not its pairs' longest lengths {longest}")
+            values = (*padded, batch.epoch_index, batch.iteration_index, max(p.id for p in batch.pairs))
+            if not all(int64.min <= v <= int64.max for v in values):
+                raise ValueError(f"batch {b}: a pair id, length or index is past int64")
         pairs = [(p.id, p.src_len, p.tgt_len) for b in batches for p in b.pairs]
         ids, src, tgt = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
         per_batch = [

@@ -12,8 +12,9 @@ and totals three cost proxies per run:
 None of these model a specific device; together they bracket encoder-side,
 attention-dominated, and cross-attention-dominated workloads.
 
-Run averages of padded lengths are unweighted means of per-batch maxima;
-reports carry avg_definition metadata naming that convention.
+Run averages of padded lengths are unweighted means of per-batch maxima (a
+short final batch counts the same as a full one); every report.json is
+written and read under that one convention, so it is not stored.
 
 A RunReport (and its report.json) holds only these run aggregates. One batch's
 costs are cost_of_batch(stream[b]), or rebuilt from batches.jsonl and corpus.tsv.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -37,14 +38,11 @@ import numpy as np
 
 from .batcher import FULL_SORT, PARTIAL_SORT, UNSORTED, Batch, BatchPlanConfig, BatchStream, k_label
 
-AVG_DEFINITION = "mean_of_per_batch_max"
-
 #: Row order in comparison tables: unsorted baseline first, then partial
 #: sort by ascending k, then full sort last.
 _POLICY_RANK = {UNSORTED: 0, PARTIAL_SORT: 1, FULL_SORT: 2}
 
 __all__ = [
-    "AVG_DEFINITION",
     "BatchCost",
     "RunReport",
     "cost_of_batch",
@@ -96,7 +94,6 @@ class RunReport:
     total_linear_cost: int
     total_quadratic_cost: int
     total_cross_cost: int
-    avg_definition: str = AVG_DEFINITION
 
 
 def _cost_columns(stream: BatchStream) -> dict[str, np.ndarray]:
@@ -206,8 +203,8 @@ def compare_costs(reports: Sequence[RunReport]) -> dict:
     All reports must describe runs over the same corpus, batch size, epoch
     count and drop_last setting, and no two the same (policy, k, seed) cell.
     A report whose corpus_hash is None counts as a corpus of its own: it
-    merges only with reports that lack a hash too. A cell mean past the float
-    range is refused.
+    merges only with reports that lack a hash too. A cell mean or ratio past
+    the float range is refused.
     """
     if not reports:
         raise ValueError("cannot compare an empty report list")
@@ -232,9 +229,6 @@ def compare_costs(reports: Sequence[RunReport]) -> dict:
         first = cell[0].config
         with np.errstate(over="ignore", invalid="ignore"):
             means = {column: float(np.mean([getattr(r, source) for r in cell])) for column, source, _ in _CELL_COLUMNS}
-        for column, mean in means.items():
-            if not np.isfinite(mean):
-                raise ValueError(f"the {column} mean of policy={first.policy} k={k_label(first)} is past the float range")
         if first.policy == UNSORTED:  # the one unsorted cell ranks first
             baseline = means
         ratios = {
@@ -242,7 +236,11 @@ def compare_costs(reports: Sequence[RunReport]) -> dict:
             for column, _, ratio in _CELL_COLUMNS
             if ratio
         }
-        rows.append({"policy": first.policy, "k": k_label(first), "runs": len(cell), **means, **ratios})
+        row = {"policy": first.policy, "k": k_label(first), "runs": len(cell), **means, **ratios}
+        for column, value in row.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"the {column} of policy={first.policy} k={k_label(first)} is past the float range")
+        rows.append(row)
     return {"m": reports[0].config.m, "corpus_hash": hashes[0], "rows": rows, "baseline_missing": not baseline}
 
 
@@ -252,16 +250,15 @@ def compare_costs(reports: Sequence[RunReport]) -> dict:
 
 
 def _check_keys(d: object, cls: type, what: str) -> None:
-    """Raise ValueError unless d is a dict holding exactly the fields of cls
-    (defaulted ones optional), each of its field's type: a float field takes an
-    int but no NaN or infinity, only a bool field a bool; dataclasses apart."""
+    """Raise ValueError unless d is a dict holding every field of cls and no
+    other key, each of its field's type: a float field takes an int but no NaN
+    or infinity, only a bool field a bool; dataclasses apart."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    required = {f.name for f in fields(cls) if f.default is MISSING}
-    missing = sorted(required - d.keys())
+    hints = get_type_hints(cls)
+    missing = sorted(hints.keys() - d.keys())
     if missing:
         raise ValueError(f"{what} is missing keys {missing}")
-    hints = get_type_hints(cls)
     unknown = sorted(d.keys() - hints.keys())
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}")
@@ -277,17 +274,16 @@ def _check_keys(d: object, cls: type, what: str) -> None:
 
 
 def report_from_dict(d: dict) -> RunReport:
-    """Inverse of dataclasses.asdict. Raises ValueError on a missing, unknown or
-    wrongly typed key, top-level or in config; a report.json written with the
-    former per_batch block is rejected for that unknown key. Averages under
-    any avg_definition but AVG_DEFINITION are not comparable: refused too, as
-    is a top-level number past the float range, which no mean can average."""
+    """Inverse of dataclasses.asdict. Every RunReport field is required, top-level
+    and in config, with no defaults filled in; a missing, unknown or wrongly
+    typed key raises ValueError. So a report.json of an earlier format, one
+    that holds a per_batch block or names its averaging convention, is refused
+    for that unknown key, as is a top-level number past the float range,
+    which no mean can average."""
     _check_keys(d, RunReport, "report")
     for name, value in d.items():
         if isinstance(value, int) and abs(value) > sys.float_info.max:
             raise ValueError(f"report field {name!r} is beyond the float range")
-    if d.get("avg_definition", AVG_DEFINITION) != AVG_DEFINITION:
-        raise ValueError(f"report field 'avg_definition' must be {AVG_DEFINITION!r}, got {d['avg_definition']!r}")
     _check_keys(d["config"], BatchPlanConfig, "report config")
     return RunReport(**{**d, "config": BatchPlanConfig(**d["config"])})
 

@@ -25,6 +25,7 @@ from sortbatch.batcher import (
     write_batches_jsonl,
 )
 from sortbatch.corpus import Corpus, SentencePair, filter_max_len, shuffle
+from sortbatch.cost import cost_of_batch, summarize_run
 
 from .helpers import corpora, corpus_and_config, keeps_a_pair, look_ahead, make_corpus
 from .reference_loader import reference_batches
@@ -147,6 +148,21 @@ def test_stream_batches_equal_by_value_from_either_end_and_in_slices():
     assert [type(b.pairs) for b in batches] == [tuple] * 6
     assert [len(b.pairs) for b in batches] == stream.sizes.tolist()
     assert [pair for b in batches for pair in b.pairs] == [by_id[i] for i in stream.ids.tolist()]
+
+
+def test_stream_of_batches_refuses_an_id_or_length_past_int64():
+    """A pair id or length past int64 is a ValueError naming the batch, not an
+    OverflowError from the int64 columns, whichever analysis builds them."""
+    fine = Batch(pairs=(SentencePair(0, 1, 1),), padded_src=1, padded_tgt=1, iteration_index=0, epoch_index=0)
+    big_id = Batch(pairs=(SentencePair(2**70, 1, 1),), padded_src=1, padded_tgt=1, iteration_index=1, epoch_index=0)
+    long_src = Batch(pairs=(SentencePair(1, 2**64, 1),), padded_src=2**64, padded_tgt=1, iteration_index=1, epoch_index=0)
+    with pytest.raises(ValueError, match="batch 0: a pair id, length or index is past int64"):
+        summarize_run([big_id], BatchPlanConfig(m=1))
+    with pytest.raises(ValueError, match="batch 0: a pair id, length or index is past int64"):
+        cost_of_batch(long_src)
+    for bad in (big_id, long_src):
+        with pytest.raises(ValueError, match="batch 1: a pair id, length or index is past int64"):
+            BatchStream.of([fine, bad])
 
 
 # ---------------------------------------------------------------------------

@@ -852,17 +852,52 @@ def test_report_round_trips_a_batch_size_past_the_float_range(corpus_file, tmp_p
 
 
 def test_report_other_avg_definition_is_data_error(corpus_file, tmp_path, capsys):
-    """A cell whose averages follow another convention is not divided by the baseline."""
+    """report.json states no averaging convention: an avg_definition key, as
+    every run directory written before it was dropped holds, is refused as
+    unknown whatever its value, naming the file and the key."""
     out = tmp_path / "sweep"
     run(simulate_args(corpus_file, out, k=("1", "3"), seeds=("0",)), capsys)
     path = out / "run_k3_seed0" / "report.json"
+    written = json.loads(path.read_text(encoding="utf-8"))
+    for value in ("mean_of_per_batch_max", "token_weighted_mean"):
+        path.write_text(json.dumps({**written, "avg_definition": value}), encoding="utf-8")
+        code, stdout, err = run(["report", str(out)], capsys)
+        assert code == EXIT_DATA
+        assert stdout == ""
+        assert f"{path}: report has unknown keys ['avg_definition']" in err
+
+
+def test_report_config_missing_fields_is_data_error(corpus_file, tmp_path, capsys):
+    """No config field has a default when read: a config of just m is not
+    merged as a partial_sort k=1 row that no sweep made."""
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "3", "all")), capsys)
+    path = out / "run_k1_seed0" / "report.json"
     report = json.loads(path.read_text(encoding="utf-8"))
-    report["avg_definition"] = "token_weighted_mean"
+    report["config"] = {"m": 4}
     path.write_text(json.dumps(report), encoding="utf-8")
-    code, stdout, err = run(["report", str(out)], capsys)
+    code, stdout, err = run(["report", str(out), "--format", "csv"], capsys)
     assert code == EXIT_DATA
     assert stdout == ""
-    assert "'avg_definition'" in err and "token_weighted_mean" in err and str(path) in err
+    assert f"{path}: report config is missing keys ['drop_last', 'epochs', 'k', 'policy', 'seed']" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_ratio_past_the_float_range_is_data_error(corpus_file, tmp_path, capsys, fmt):
+    """Each cell mean is in the float range, but 8e307 / 0.25 is not: the
+    ratio is refused with exit 2, naming the cell and the column, instead of
+    printing inf (csv) or Infinity, which is not JSON."""
+    out = tmp_path / "sweep"
+    run(simulate_args(corpus_file, out, k=("1", "10", "all")), capsys)
+    for pattern, value in (("run_k1_seed*", 0.25), ("run_k10_seed*", 8e307)):
+        for path in out.glob(f"{pattern}/report.json"):
+            report = json.loads(path.read_text(encoding="utf-8"))
+            report["avg_padded_src"] = value
+            path.write_text(json.dumps(report), encoding="utf-8")
+    code, stdout, err = run(["report", str(out), "--format", fmt], capsys)
+    assert code == EXIT_DATA
+    assert stdout == ""
+    assert "the ratio_avg_src of policy=partial_sort k=10 is past the float range" in err
 
 
 @pytest.mark.parametrize("label", ["1", "all"])

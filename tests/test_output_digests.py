@@ -42,22 +42,22 @@ DIGESTS = {
         "corpus.tsv": "84662dd96b6ddd728dec3c30f665bb54ccedc43d2ef1586b1fd84dde2ba49fdc",
         "run_k1_seed0/batches.jsonl": "d6023fc78f0f3093883780b6aa4e15c3212dd7528bb7da8dcb88f549c3a18465",
         "run_k1_seed0/iid.json": "0b0bd31fb6a2f763a5f43388650a6ab8e0955ad8cd437b1f99a5f8391f964d09",
-        "run_k1_seed0/report.json": "92bb0fe9233d5de919f62b05e6511367b132189f83181e85d6fa9c5c75b10021",
+        "run_k1_seed0/report.json": "455d6209f297d58818c9f8798ea3802b535680641e8cd16d9982c051ee9790af",
         "run_k1_seed1/batches.jsonl": "3f81670d0a6236bb59076c5205306bc65f19efe5df29de38688f6bcecf9f67c8",
         "run_k1_seed1/iid.json": "081596f2f8a2dec60a11a5408d6a7ad2954e41f4403a552c7f14e454a96b3702",
-        "run_k1_seed1/report.json": "43539622c2c624a550bce1e53135462bd211d165682b698a58c1643474ab3b2c",
+        "run_k1_seed1/report.json": "484e8d5b025971e4b6d14b1358594decef9fc0237bcca2665f8a562bb7cf910e",
         "run_k4_seed0/batches.jsonl": "f3a0fca0a13373634356bb521007e028717f029757cf620a05fc49a33cb88b2d",
         "run_k4_seed0/iid.json": "ff5d5da41c6cee6d043c0c5768384cd75201ef16c3e2014b29a6943bc89b498c",
-        "run_k4_seed0/report.json": "00c1ed1eda70012d3170208df0a2e06a31057b413829d82ae7dfbf405d71e422",
+        "run_k4_seed0/report.json": "caed98cf0f5d8a0b839f7283fd97b5a50abd7f9db026d3bf471c7d1c64264a14",
         "run_k4_seed1/batches.jsonl": "85de9550050aa64b1346431c0f588b5dcbbd106f67cd4fa74a6cc1f97383606f",
         "run_k4_seed1/iid.json": "14088854cebb91f1812c4de8d8f75d985677d6b71b5461bb3423ce377a0d74ee",
-        "run_k4_seed1/report.json": "c8a13d970aa5ba5fbd97e4114f91080e81e926694260c09966cad42a0387f6bc",
+        "run_k4_seed1/report.json": "4a4efba7f6c4f6aed10064827c2ae26a401d0eb2d3a38b433d60a8207309edd2",
         "run_kall_seed0/batches.jsonl": "46e3ef49fb399c2b83c90cbb63859e3591ee7358f7ed427b0295e44987da077d",
         "run_kall_seed0/iid.json": "5b1a8a4f96e6e823cfcc6b5dbf881c34f6141c84ab9e18082b38f0b4b13d99bf",
-        "run_kall_seed0/report.json": "8df6146d5ebba1dd2107f94376fe77c253e6786260506fc56a1d7f87a179754e",
+        "run_kall_seed0/report.json": "9745f0699fd3c5256079c0de762daa7881e576022bf947fac6c1a3d963ea20a3",
         "run_kall_seed1/batches.jsonl": "69ddb2ff595371fd1fddfeeaf2df1fb315cbb289760b9df8984dd7f830191236",
         "run_kall_seed1/iid.json": "5b1a8a4f96e6e823cfcc6b5dbf881c34f6141c84ab9e18082b38f0b4b13d99bf",
-        "run_kall_seed1/report.json": "8073d76f2bb379f369e052d8ad012a541b32a512c72a4d70059de792a4eb65b8",
+        "run_kall_seed1/report.json": "5e6536069b6423cef1715901b75036538cd73db664e9fda285b5972624424a23",
         "sweep.json": "e6eb47022ce223eed63d7d69690272528f8d0449149cac2d9b2286691b5724a5",
     },
     "u16": {
@@ -66,13 +66,13 @@ DIGESTS = {
         "corpus.tsv": "15c208979b7bba8fe97f331e5c647ad7e89933d2f8169bc44163985fdfa62f8d",
         "run_k1_seed2/batches.jsonl": "03791ddaae1c719821c9c8fcd8045b9f23f3a74fe0b68a191db9110fdd8ab6d4",
         "run_k1_seed2/iid.json": "49f034c006ec9804b527682beec9513c3519f18233a4217dadeff9854bd673fb",
-        "run_k1_seed2/report.json": "9f540a6b2a3b453d887394991fb17cde3b400e42802babea3c94db79c8058b6a",
+        "run_k1_seed2/report.json": "aada3f521e918942dbbb8e96dd609c90f2d84222c5bfa2f2d8c08420a0519e59",
         "run_k3_seed2/batches.jsonl": "027b30db2ed1d76a178a560487ed7e48533b71705d936650a1d25b085f23acc5",
         "run_k3_seed2/iid.json": "dd6d1fcce8678fcb1b145fd31cb5af5719bf4d6311a49d1b5ed0ea4adb6d8482",
-        "run_k3_seed2/report.json": "ae44bff9fbb637d78534b4e07d6015eae259e6be5d0b91cdc4f3d21fbc5b969b",
+        "run_k3_seed2/report.json": "e02fba59d678861638dee491c3eb1ffe6d6f27674e509536711de5523ea895bd",
         "run_kall_seed2/batches.jsonl": "24fb4ae01f9cbe3d0f2870d573d7016e882ee53bb24316cbcbd84e88512377a4",
         "run_kall_seed2/iid.json": "ce11064e1e961bce0fba938e4e180f1852efb4f6b2b81738b2a14f0eee527813",
-        "run_kall_seed2/report.json": "17a88919224fef3831b41e18e050edb792c92104221212829d9e1253a43c2770",
+        "run_kall_seed2/report.json": "2f14d986b4611da98bffa4c2c7c7d0e5afa7726dfa67575ac7a1b4fa24324e3e",
         "sweep.json": "127f07d4a9f10c79ccf41c395e04f2f8ab6705acd03f72f8f80b84d15671b43d",
     },
     "u32": {
@@ -81,13 +81,13 @@ DIGESTS = {
         "corpus.tsv": "38738532703482005f55791623bd08c5173563e5be056a5cba2dac051fcfec76",
         "run_k1_seed0/batches.jsonl": "e46d1680ad5c43c0ecfafbf37554b748f04e19e2128408b1bcd246a064dca6fc",
         "run_k1_seed0/iid.json": "11bbb2c7e55593452b2af2cb6bda97b1f3cb419965e1b6514eaab0e4dd64816e",
-        "run_k1_seed0/report.json": "88d6da11411a05cee7062b12189cba81eeca90255511d5549c256123701236cd",
+        "run_k1_seed0/report.json": "d6b27b7d40cfa7713f62f5805cb819675bb6c8c626ef5095c47f30ce9be1629d",
         "run_k5_seed0/batches.jsonl": "d11fb1124634834797cf57fa4439fd7e12282db891729f915c2baa1f43617373",
         "run_k5_seed0/iid.json": "f548a76deaa01f9ab39473dae7c99dae279f84b7c1d5250ff76ef6094bc82de5",
-        "run_k5_seed0/report.json": "cc5232f1ffc09d0ade16485b78f8fb28cc068b84ac4c714d4734dbaae30e801e",
+        "run_k5_seed0/report.json": "9e3d4029f4f6ded421ef444a047c30ac8d7a7c9942fde453fe066dddbf310a54",
         "run_kall_seed0/batches.jsonl": "675e762c365c04b656cc200302b840f09336ecb5b4ca0796c608280f110cac99",
         "run_kall_seed0/iid.json": "c8bceff82959d051d0b53dd34746c109cc4549f9ffeff1555d093cd0e479c322",
-        "run_kall_seed0/report.json": "fffdcf6e39fade226243562fb96f77c7fc9b67c784c04fa55246c0cd714a437b",
+        "run_kall_seed0/report.json": "66b34e5ba19bf8c1ce3a9d896b18a9f5365767210b965f706d5fa8e7bfc009ff",
         "sweep.json": "1a9c3fcf70cb9a41586226bc9b137d84be06cab58634f6a4f679cfa15f6e9ebf",
     },
     "corpus": {
@@ -96,22 +96,22 @@ DIGESTS = {
         "corpus.tsv": "bba70edb0c6fb571d061bb304e62e1ed7057c0c02e5edcae4512de6d97bc3e82",
         "run_k1_seed0/batches.jsonl": "566fbc4fb8b3e07f01fc968711b5a9083055559c457441de1355c46d275d4146",
         "run_k1_seed0/iid.json": "e4109da8c326312f7d3d9d874b0068f7a84cc4e2f9276347bd8da0c1da670f29",
-        "run_k1_seed0/report.json": "96e2d7cb7fc3e05c3d61bafab5f6294b1f7cdacbebd7a12546b88dd928fe3a57",
+        "run_k1_seed0/report.json": "084e7d2cc0c3a9bf9d771967e6aacbee1a9784ae8e2f84d7dcbf5d6598b1f545",
         "run_k1_seed1/batches.jsonl": "c81fd1d6ac666ffb415b293d4e029d963c4957e6cc0133c2233dc426f68df938",
         "run_k1_seed1/iid.json": "61e1cb2b0acdd031a4000011efba5d338d3012ee641af4f7773bb19fb8d5a859",
-        "run_k1_seed1/report.json": "c6774896c8e0f1cd698a83ff7f6ae6d2ab9081976cd4552ac56b8ae0fc536e06",
+        "run_k1_seed1/report.json": "085f63e25e1d0d1be04bb899991bc7a13836cc10dea696647ccf66bd0ff58c25",
         "run_k5_seed0/batches.jsonl": "774a8d8e2f9e03717675d71876c0242cef8bbd378f5d3108efaac5e2767280e2",
         "run_k5_seed0/iid.json": "e0fceed0aeac3ac5c366f228b65ca4093c5051ddeae6119307f8725fd9b67459",
-        "run_k5_seed0/report.json": "7ecbfada5481de1f805ee3488e1a964d4588403064b4766ccd8dd860bf341de4",
+        "run_k5_seed0/report.json": "67f545b47ff0122bd9c440de6a013a934b3cec8f29ea0dc911d0fc54ce34a690",
         "run_k5_seed1/batches.jsonl": "dd0a5c6644c0f19ccb0fa5e09157c213393f21e9acef29e41b732de8c098d043",
         "run_k5_seed1/iid.json": "a534b7d42c16122e3fabd3598e8c50b693713f7c02e77908d1d6783a43a62f4e",
-        "run_k5_seed1/report.json": "1f6bd3692fd93f9081753103bd097f38a03cc2cb3ab273e05b7f966e7fe7b8fc",
+        "run_k5_seed1/report.json": "dfb8fa4c57b273a3b69f83d3b6a826da25a174e182b678736d3e8411777511e1",
         "run_kall_seed0/batches.jsonl": "0310f7a7778182a39d6b13a432a683d3e7e039168914bde1ab5f3b1dc47bf670",
         "run_kall_seed0/iid.json": "ec16f6fc293ab310c6836f531570471b617c6ecb5d16aa8c2a587402d198c341",
-        "run_kall_seed0/report.json": "31d1d9b89331a9fada5186b0790390111a995951c144fa73cd346f7f67769fc9",
+        "run_kall_seed0/report.json": "fe6b0b534e9db1568e6beab7b9799bb252beb7b82ca171d90bfc6a319dab72d6",
         "run_kall_seed1/batches.jsonl": "fcc9be1077809fc1515ac91c4273a2ca7d298ecb6b0c5c3e8463f909aae9e87b",
         "run_kall_seed1/iid.json": "ec16f6fc293ab310c6836f531570471b617c6ecb5d16aa8c2a587402d198c341",
-        "run_kall_seed1/report.json": "d4316072f670fdf313aab644e43196aa86a1680080cbc3147eb826f17d9f8a97",
+        "run_kall_seed1/report.json": "e416cf90384967bafc793fdb608cc0fb86b81788e02f40bbdd0bf4a3da314ab2",
         "sweep.json": "c0589cc8efa438fa439feb5568c9f1188c4631dc19d0bf2953c06c5ea77b11d3",
     },
 }
