@@ -13,8 +13,8 @@ seed; gen, simulate), --format {csv,md,json} (stats, simulate, report),
 Exit codes: 0 success, 1 usage error, 2 data error, 3 I/O error.
 
 k values on the command line are integers >= 1 and the word "all"; each
-maps to its policy by batcher.config_for_k. `stats --max-len` filters the
-corpus first and reports that limit as the last column of its table.
+maps to its policy by batcher.config_for_k. --max-len of gen and simulate
+clips synthesised lengths to [1, max_len]; stats reports the corpus as read.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .corpus import (
     SynthParams,
     compute_stats,
     corpus_hash,
-    filter_max_len,
     load_corpus,
     synth_generate,
     write_lengths_tsv,
@@ -129,9 +128,14 @@ class SweepSpec:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_record(spec: SweepSpec, digest: str) -> dict:
+def _sweep_record(spec: SweepSpec, corpus: Corpus, digest: str) -> dict:
+    """sweep.json: the sweep's settings and its corpus source. A synthesised
+    corpus's block also holds the src moments realised, as gen prints them,
+    since a request that no truncated family fits is sampled from another."""
     if isinstance(spec.source, SynthParams):
-        source = {"synth": asdict(spec.source)}
+        stats = compute_stats(corpus)
+        realised = {"mean_src": stats["mean_src"], "std_src": stats["std_src"]}
+        source = {"synth": {**asdict(spec.source), "realised": realised}}
     else:
         source = {"path": str(spec.source)}
     return {
@@ -181,7 +185,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     stage.mkdir()  # not mkdtemp: its mode 0700 would become the mode of out_dir
     try:
         write_lengths_tsv(corpus, stage / "corpus.tsv")
-        _emit(json.dumps(_sweep_record(spec, digest), indent=2, sort_keys=True) + "\n", stage / "sweep.json")
+        _emit(json.dumps(_sweep_record(spec, corpus, digest), indent=2, sort_keys=True) + "\n", stage / "sweep.json")
 
         configs = spec.configs()
         reports = []
@@ -282,25 +286,20 @@ def _render(comparison: dict, fmt: str) -> str:
     return {"csv": comparison_to_csv, "md": comparison_to_markdown, "json": comparison_to_json}[fmt](comparison)
 
 
-def _render_stats(stats: dict, max_len: int | None, fmt: str) -> str:
+def _render_stats(stats: dict, fmt: str) -> str:
     """The stats table: every key of the compute_stats document but the
-    histograms, in its order, then max_len_filter, the --max-len applied (None
-    if none). Only json adds the histograms (with string keys, so sort_keys
-    orders them as text)."""
+    histograms, in its order. Only json adds the histograms (with string keys,
+    so sort_keys orders them as text)."""
     values = {name: v for name, v in stats.items() if not name.startswith("histogram_")}
-    values["max_len_filter"] = max_len
     if fmt == "json":
         for side in ("histogram_src", "histogram_tgt"):
             values[side] = {str(k): v for k, v in stats[side].items()}
         return json.dumps(values, indent=2, sort_keys=True) + "\n"
-    cells = {
-        name: format(v, ".4f") if isinstance(v, float) else ("" if v is None else str(v))
-        for name, v in values.items()
-    }
+    cells = {name: format(v, ".4f") if isinstance(v, float) else str(v) for name, v in values.items()}
     if fmt == "csv":
         return f"{','.join(cells)}\n{','.join(cells.values())}\n"
     lines = ["| stat | value |", "|---|---|"]
-    lines += [f"| {name} | {cell or '-'} |" for name, cell in cells.items()]
+    lines += [f"| {name} | {cell} |" for name, cell in cells.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -356,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--corpus-format", choices=CORPUS_FORMATS, default=LENGTHS_TSV, help="input file format"
     )
-    stats.add_argument("--max-len", type=int, default=None, help="drop pairs longer than this first")
     stats.add_argument("--hist-out", type=Path, default=None, help="also write a length histogram CSV")
 
     simulate = sub.add_parser("simulate", parents=[seed, fmt, out], help="run a policy sweep over k")
@@ -406,11 +404,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus, fmt=args.corpus_format)
-    if args.max_len is not None:
-        corpus = filter_max_len(corpus, args.max_len)
-    stats = compute_stats(corpus)
-    _emit(_render_stats(stats, args.max_len, args.format), args.out)
+    stats = compute_stats(load_corpus(args.corpus, fmt=args.corpus_format))
+    _emit(_render_stats(stats, args.format), args.out)
     if args.hist_out is not None:
         _emit(_histogram_csv(stats), args.hist_out)
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Paired-length corpora: loading, filtering, shuffling, statistics, and synthesis.
+"""Paired-length corpora: loading, shuffling, statistics, and synthesis.
 
 A corpus is a set of integer columns (pair ids, source lengths, target
 lengths) with one row per sentence pair; no sentence text is kept. Lengths
@@ -11,8 +11,6 @@ once, as bytes, and keeps a file that is already canonical as it was read,
 so the bytes hashed are the bytes a corpus.tsv holds.
 A pair's id is its line in the corpus it was loaded or synthesised from,
 counted from 0, so the ids of n pairs are a permutation of 0..n-1.
-A corpus holds those three columns only: filter_max_len returns a plain
-renumbered corpus, and `sortbatch stats` reports the limit it applied itself.
 Corpus values are immutable after construction; every operation is a pure
 function returning a new Corpus, so values are safe to share across threads.
 """
@@ -52,7 +50,6 @@ __all__ = [
     "Corpus",
     "SynthParams",
     "load_corpus",
-    "filter_max_len",
     "shuffle",
     "compute_stats",
     "synth_generate",
@@ -334,21 +331,8 @@ def corpus_hash(corpus: Corpus) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Filtering, shuffling, statistics
+# Shuffling, statistics
 # ---------------------------------------------------------------------------
-
-
-def filter_max_len(corpus: Corpus, limit: int) -> Corpus:
-    """Keep only pairs with both sides at most `limit` tokens, order preserved.
-
-    The cutoff applies to source and target alike. The kept pairs are
-    renumbered 0..n'-1 in order, as the lines of the filtered corpus. A
-    limit that keeps no pair is refused.
-    """
-    kept = np.flatnonzero((corpus.src <= limit) & (corpus.tgt <= limit))
-    if not len(kept):
-        raise ValueError(f"no pair has both lengths <= {limit}")
-    return Corpus(np.arange(len(kept)), corpus.src[kept], corpus.tgt[kept])
 
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortbatch import batcher
@@ -24,10 +24,10 @@ from sortbatch.batcher import (
     run_epochs,
     write_batches_jsonl,
 )
-from sortbatch.corpus import Corpus, SentencePair, filter_max_len, shuffle
+from sortbatch.corpus import Corpus, SentencePair, shuffle
 from sortbatch.cost import cost_of_batch, summarize_run
 
-from .helpers import corpora, corpus_and_config, keeps_a_pair, look_ahead, make_corpus
+from .helpers import corpora, corpus_and_config, look_ahead, make_corpus
 from .reference_loader import reference_batches
 
 
@@ -408,13 +408,8 @@ def test_k1_membership_equals_chunking(case):
 
 @st.composite
 def reference_cases(draw):
-    """Corpus and config, with filtered corpora (gaps in the ids) and a
-    look-ahead far beyond any corpus size."""
+    """Corpus and config, with a look-ahead far beyond any corpus size."""
     corpus = draw(corpora)
-    if draw(st.booleans()):
-        limit = draw(st.integers(1, 30))
-        assume(keeps_a_pair(corpus, limit))
-        corpus = filter_max_len(corpus, limit)
     m = draw(st.integers(1, 8))
     policy = draw(st.sampled_from(POLICIES))
     config = BatchPlanConfig(

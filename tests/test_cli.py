@@ -7,13 +7,12 @@ import shutil
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sortbatch import batcher, cli
 from sortbatch.batcher import BatchPlanConfig, config_for_k, k_label
 from sortbatch.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SweepSpec, collect_reports, main, run_sweep
-from sortbatch.corpus import SentencePair, SynthParams, compute_stats, filter_max_len, load_corpus
+from sortbatch.corpus import SentencePair, SynthParams, compute_stats, load_corpus, synth_generate
 from sortbatch.cost import RunReport, compare_costs
 from sortbatch.diagnostics import write_iid_report_json
 
@@ -142,14 +141,6 @@ def test_stats_prints_markdown_by_default(corpus_file, capsys):
     assert "| n_pairs | 100 |" in stdout
 
 
-def test_stats_records_filter(corpus_file, capsys):
-    code, stdout, _ = run(["stats", str(corpus_file), "--max-len", "10", "--format", "csv"], capsys)
-    assert code == EXIT_OK
-    header, row = stdout.strip().splitlines()
-    assert header.split(",")[-1] == "max_len_filter"
-    assert row.split(",")[-1] == "10"
-
-
 def test_stats_json_includes_histograms(corpus_file, capsys):
     code, stdout, _ = run(["stats", str(corpus_file), "--format", "json"], capsys)
     assert code == EXIT_OK
@@ -162,7 +153,7 @@ def test_stats_csv_header_and_json_histogram_key_order(corpus_file, capsys):
     code, stdout, _ = run(["stats", str(corpus_file), "--format", "csv"], capsys)
     assert code == EXIT_OK
     assert stdout.splitlines()[0] == (
-        "n_pairs,mean_src,std_src,max_src,mean_tgt,std_tgt,max_tgt,mean_pairwise_abs_diff,max_len_filter"
+        "n_pairs,mean_src,std_src,max_src,mean_tgt,std_tgt,max_tgt,mean_pairwise_abs_diff"
     )
     code, stdout, _ = run(["stats", str(corpus_file), "--format", "json"], capsys)
     assert code == EXIT_OK
@@ -171,77 +162,48 @@ def test_stats_csv_header_and_json_histogram_key_order(corpus_file, capsys):
 
 
 STATS_BYTES = {
-    ("csv", None): (
-        "n_pairs,mean_src,std_src,max_src,mean_tgt,std_tgt,max_tgt,mean_pairwise_abs_diff,max_len_filter\n"
-        "3,3.6667,2.4944,7,3.6667,1.2472,5,1.3333,\n"
+    "csv": (
+        "n_pairs,mean_src,std_src,max_src,mean_tgt,std_tgt,max_tgt,mean_pairwise_abs_diff\n"
+        "3,3.6667,2.4944,7,3.6667,1.2472,5,1.3333\n"
     ),
-    ("csv", "5"): (
-        "n_pairs,mean_src,std_src,max_src,mean_tgt,std_tgt,max_tgt,mean_pairwise_abs_diff,max_len_filter\n"
-        "2,2.0000,1.0000,3,3.0000,1.0000,4,1.0000,5\n"
-    ),
-    ("md", None): (
+    "md": (
         "| stat | value |\n|---|---|\n| n_pairs | 3 |\n| mean_src | 3.6667 |\n| std_src | 2.4944 |\n"
         "| max_src | 7 |\n| mean_tgt | 3.6667 |\n| std_tgt | 1.2472 |\n| max_tgt | 5 |\n"
-        "| mean_pairwise_abs_diff | 1.3333 |\n| max_len_filter | - |\n"
+        "| mean_pairwise_abs_diff | 1.3333 |\n"
     ),
-    ("md", "5"): (
-        "| stat | value |\n|---|---|\n| n_pairs | 2 |\n| mean_src | 2.0000 |\n| std_src | 1.0000 |\n"
-        "| max_src | 3 |\n| mean_tgt | 3.0000 |\n| std_tgt | 1.0000 |\n| max_tgt | 4 |\n"
-        "| mean_pairwise_abs_diff | 1.0000 |\n| max_len_filter | 5 |\n"
-    ),
-    ("json", None): (
+    "json": (
         '{\n  "histogram_src": {\n    "1": 1,\n    "3": 1,\n    "7": 1\n  },\n'
         '  "histogram_tgt": {\n    "2": 1,\n    "4": 1,\n    "5": 1\n  },\n'
-        '  "max_len_filter": null,\n  "max_src": 7,\n  "max_tgt": 5,\n'
+        '  "max_src": 7,\n  "max_tgt": 5,\n'
         '  "mean_pairwise_abs_diff": 1.3333333333333333,\n  "mean_src": 3.6666666666666665,\n'
         '  "mean_tgt": 3.6666666666666665,\n  "n_pairs": 3,\n'
         '  "std_src": 2.494438257849294,\n  "std_tgt": 1.247219128924647\n}\n'
     ),
-    ("json", "5"): (
-        '{\n  "histogram_src": {\n    "1": 1,\n    "3": 1\n  },\n'
-        '  "histogram_tgt": {\n    "2": 1,\n    "4": 1\n  },\n'
-        '  "max_len_filter": 5,\n  "max_src": 3,\n  "max_tgt": 4,\n'
-        '  "mean_pairwise_abs_diff": 1.0,\n  "mean_src": 2.0,\n  "mean_tgt": 3.0,\n'
-        '  "n_pairs": 2,\n  "std_src": 1.0,\n  "std_tgt": 1.0\n}\n'
-    ),
 }
 
 
-@pytest.mark.parametrize("fmt, max_len", list(STATS_BYTES))
-def test_stats_bytes_with_and_without_limit(fmt, max_len, tmp_path, capsys):
+@pytest.mark.parametrize("fmt", list(STATS_BYTES))
+def test_stats_bytes(fmt, tmp_path, capsys):
     path = tmp_path / "three.tsv"
     path.write_text("3\t4\n1\t2\n7\t5\n", encoding="utf-8")
-    limit = [] if max_len is None else ["--max-len", max_len]
-    code, stdout, _ = run(["stats", str(path), "--format", fmt, *limit], capsys)
+    code, stdout, _ = run(["stats", str(path), "--format", fmt], capsys)
     assert code == EXIT_OK
-    assert stdout == STATS_BYTES[fmt, max_len]
+    assert stdout == STATS_BYTES[fmt]
     out = tmp_path / "stats.out"
-    code, stdout, _ = run(["stats", str(path), "--format", fmt, *limit, "--out", str(out)], capsys)
+    code, stdout, _ = run(["stats", str(path), "--format", fmt, "--out", str(out)], capsys)
     assert (code, stdout) == (EXIT_OK, "")
-    assert out.read_bytes() == STATS_BYTES[fmt, max_len].encode()
+    assert out.read_bytes() == STATS_BYTES[fmt].encode()
 
 
-@pytest.mark.parametrize("max_len", [None, 5])
-def test_stats_json_is_the_compute_stats_document(max_len, tmp_path, capsys):
+def test_stats_json_is_the_compute_stats_document(tmp_path, capsys):
     path = tmp_path / "three.tsv"
     path.write_text("3\t4\n1\t2\n7\t5\n", encoding="utf-8")
-    limit = [] if max_len is None else ["--max-len", str(max_len)]
-    code, stdout, _ = run(["stats", str(path), "--format", "json", *limit], capsys)
+    code, stdout, _ = run(["stats", str(path), "--format", "json"], capsys)
     assert code == EXIT_OK
-    corpus = load_corpus(path) if max_len is None else filter_max_len(load_corpus(path), max_len)
-    stats = compute_stats(corpus)
+    stats = compute_stats(load_corpus(path))
     for side in ("histogram_src", "histogram_tgt"):
         stats[side] = {str(length): count for length, count in stats[side].items()}
-    assert json.loads(stdout) == {**stats, "max_len_filter": max_len}
-
-
-def test_stats_limit_above_the_column_type_keeps_every_pair(corpus_file, capsys):
-    """corpus_file's lengths are 1..20, one byte each; a limit of 1000 keeps them all."""
-    assert load_corpus(corpus_file).src.dtype == np.uint8
-    code, stdout, _ = run(["stats", str(corpus_file), "--max-len", "1000", "--format", "json"], capsys)
-    assert code == EXIT_OK
-    payload = json.loads(stdout)
-    assert (payload["n_pairs"], payload["max_len_filter"]) == (100, 1000)
+    assert json.loads(stdout) == stats
 
 
 def test_stats_hist_out(corpus_file, tmp_path, capsys):
@@ -254,13 +216,6 @@ def test_stats_hist_out(corpus_file, tmp_path, capsys):
 def test_stats_missing_file_is_io_error(tmp_path, capsys):
     code, _, _ = run(["stats", str(tmp_path / "nope.tsv")], capsys)
     assert code == EXIT_IO
-
-
-def test_stats_limit_that_keeps_no_pair_is_data_error_naming_it(tmp_path, capsys):
-    path = tmp_path / "c.tsv"
-    path.write_text("3\t4\n5\t6\n", encoding="utf-8")
-    code, stdout, err = run(["stats", str(path), "--max-len", "2"], capsys)
-    assert (code, stdout, err) == (EXIT_DATA, "", "error: no pair has both lengths <= 2\n")
 
 
 def test_stats_malformed_file_is_data_error(tmp_path, capsys):
@@ -347,6 +302,21 @@ def test_simulate_synth_source(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads((out / "sweep.json").read_text())["corpus"]["synth"]["seed"] == 3
+
+
+def test_simulate_records_the_src_moments_it_synthesised(tmp_path, capsys):
+    """The request of test_gen_prints_the_src_moments_it_wrote at n=2000: no
+    truncated normal fits it, so sweep.json records, beside the request, the
+    moments of the corpus batched, as compute_stats gives them."""
+    out = tmp_path / "sweep"
+    flags = ["--n", "2000", "--mean-src", "10.99", "--std-src", "10", "--max-len", "1000", "--length-dist", "normal"]
+    code, _, _ = run(["simulate", *flags, "--m", "64", "--k", "1", "all", "--seeds", "0", "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    synth = json.loads((out / "sweep.json").read_text())["corpus"]["synth"]
+    params = SynthParams(n=2000, mean_src=10.99, std_src=10, max_len=1000, length_dist="normal")
+    made = compute_stats(synth_generate(params))
+    assert synth["realised"] == {"mean_src": made["mean_src"], "std_src": made["std_src"]}
+    assert (f"{made['mean_src']:.4f}", f"{made['std_src']:.4f}") == ("13.8305", "7.9745")
 
 
 def test_simulate_requires_exactly_one_source(corpus_file, tmp_path, capsys):
@@ -1036,6 +1006,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
         (["gen", *GEN_FLAGS, "--format", "csv"], "--format"),
         (["stats", "c.tsv", "--seed", "1"], "--seed"),
         (["report", "runs", "--seed", "1"], "--seed"),
+        (["stats", "c.tsv", "--max-len", "5"], "--max-len"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, argv, flag):

@@ -101,7 +101,7 @@ NEEDED = {
 }
 OPTIONAL = {
     "gen": ("--seed", "--pair-diff", "--length-dist"),
-    "stats": ("--format", "--out", "--corpus-format", "--max-len", "--hist-out"),
+    "stats": ("--format", "--out", "--corpus-format", "--hist-out"),
     "simulate": ("--seed", "--format", "--seeds", "--epochs", "--drop-last"),
     "report": ("--format", "--out"),
 }

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortbatch import batcher
@@ -27,7 +27,6 @@ from sortbatch.corpus import (
     SynthParams,
     compute_stats,
     corpus_hash,
-    filter_max_len,
     load_corpus,
     shuffle,
     synth_generate,
@@ -35,7 +34,7 @@ from sortbatch.corpus import (
 )
 from sortbatch.corpus import _fit_family, _ndtr, _ndtri, _plain_lengths
 
-from .helpers import corpora, keeps_a_pair, make_corpus
+from .helpers import corpora, make_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +116,12 @@ def test_corpus_accepts_narrow_integer_columns():
     [
         (lambda: Corpus((), (), ()), "at least one pair"),
         (lambda: Corpus(np.array([], dtype=np.int64), [], []), "at least one pair"),
-        (lambda: filter_max_len(make_corpus([(3, 4)]), 2), "no pair has both lengths <= 2$"),
-        (lambda: filter_max_len(make_corpus([(3, 4)]), 0), "no pair has both lengths <= 0$"),
     ],
-    ids=["empty_tuples", "empty_int64", "filter_limit_2", "filter_limit_0"],
+    ids=["empty_tuples", "empty_int64"],
 )
 def test_a_corpus_holds_at_least_one_pair(make, message):
     """The constructor is the one place that refuses an empty corpus, so no
-    shuffle, stats or loader sees one; a filter that keeps no pair names its limit."""
+    shuffle, stats or loader sees one."""
     with pytest.raises(ValueError, match=message):
         make()
 
@@ -408,56 +405,6 @@ def test_corpus_hash_tracks_content():
     # hash covers serialized content, so reordering changes it
     reordered = make_corpus([(1, 1), (3, 4)])
     assert corpus_hash(a) != corpus_hash(reordered)
-
-
-# ---------------------------------------------------------------------------
-# filter_max_len
-# ---------------------------------------------------------------------------
-
-
-def test_filter_drops_either_side_over_limit():
-    corpus = make_corpus([(3, 4), (126, 10), (5, 130)])
-    kept = filter_max_len(corpus, 125)
-    assert [(p.src_len, p.tgt_len) for p in kept.pairs] == [(3, 4)]
-
-
-def test_filter_is_noop_above_max():
-    corpus = make_corpus([(3, 4), (7, 2)])
-    kept = filter_max_len(corpus, 10)
-    assert [(p.src_len, p.tgt_len) for p in kept.pairs] == [(3, 4), (7, 2)]
-
-
-@given(corpora, st.integers(1, 40), st.integers(0, 2**31))
-@settings(max_examples=50)
-def test_filter_renumbers_kept_pairs_in_order(corpus, limit, seed):
-    assume(keeps_a_pair(corpus, limit))
-    shuffled = shuffle(corpus, seed)
-    kept = filter_max_len(shuffled, limit)
-    assert kept.ids.tolist() == list(range(len(kept)))
-    rows = [(s, t) for s, t in zip(shuffled.src.tolist(), shuffled.tgt.tolist()) if max(s, t) <= limit]
-    assert list(zip(kept.src.tolist(), kept.tgt.tolist())) == rows
-
-
-def test_filter_boundary_keeps_equal_lengths():
-    corpus = make_corpus([1, 1, 1])
-    assert len(filter_max_len(corpus, 1)) == 3
-
-
-def test_filter_above_the_column_type_keeps_every_pair():
-    corpus = make_corpus([(3, 255), (200, 7)])
-    assert corpus.src.dtype == corpus.tgt.dtype == np.uint8
-    kept = filter_max_len(corpus, 1000)
-    assert list(zip(kept.src.tolist(), kept.tgt.tolist())) == [(3, 255), (200, 7)]
-
-
-@given(corpora, st.integers(1, 40))
-@settings(max_examples=50)
-def test_filter_idempotent(corpus, limit):
-    assume(keeps_a_pair(corpus, limit))
-    once = filter_max_len(corpus, limit)
-    twice = filter_max_len(once, limit)
-    assert [p.id for p in once.pairs] == [p.id for p in twice.pairs]
-    assert all(p.src_len <= limit and p.tgt_len <= limit for p in once.pairs)
 
 
 # ---------------------------------------------------------------------------

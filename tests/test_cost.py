@@ -32,6 +32,7 @@ from sortbatch.cost import (
     write_report_json,
 )
 from sortbatch.cost import _CELL_COLUMNS, RunReport, _cost_columns
+from sortbatch.diagnostics import iid_report
 
 from .helpers import corpus_and_config, make_corpus, wide_byte_corpus
 
@@ -216,6 +217,21 @@ def test_policy_cost_ordering_over_seeds():
     partial = mean_avg(PARTIAL_SORT, 4)
     full = mean_avg(FULL_SORT, 1)
     assert full <= partial <= unsorted
+
+
+@given(corpus_and_config(policies=(FULL_SORT,)), st.integers(0, 2**31))
+@settings(max_examples=50, deadline=None)
+def test_full_sort_costs_the_same_at_every_seed(case, other_seed):
+    """Each full_sort epoch is the corpus's pairs in sorted (src, tgt) order,
+    so the seed moves only the ids: the cost report (but for its seed) and
+    the i.i.d. document are the same at every seed, and a full_sort cell has
+    no seed spread."""
+    corpus, config = case
+    configs = (config, replace(config, seed=other_seed))
+    streams = [run_epochs(corpus, c) for c in configs]
+    reports = [summarize_run(stream, c) for stream, c in zip(streams, configs)]
+    assert replace(reports[1], config=config) == reports[0]
+    assert iid_report(streams[1], configs[1]) == iid_report(streams[0], config)
 
 
 def full_sort_shares(pair_diff_mean, k):

@@ -58,7 +58,7 @@ DIGESTS = {
         "run_kall_seed1/batches.jsonl": "69ddb2ff595371fd1fddfeeaf2df1fb315cbb289760b9df8984dd7f830191236",
         "run_kall_seed1/iid.json": "5b1a8a4f96e6e823cfcc6b5dbf881c34f6141c84ab9e18082b38f0b4b13d99bf",
         "run_kall_seed1/report.json": "5e6536069b6423cef1715901b75036538cd73db664e9fda285b5972624424a23",
-        "sweep.json": "e6eb47022ce223eed63d7d69690272528f8d0449149cac2d9b2286691b5724a5",
+        "sweep.json": "12755111c965b61038cc4c30d09d963b477313309e9812550031f5e4b0e6d730",
     },
     "u16": {
         "comparison.csv": "01dd18a5a8d41f1bfd72f172f26630dd8ba50e81ec385f946f23d7572b9ba04b",
@@ -73,7 +73,7 @@ DIGESTS = {
         "run_kall_seed2/batches.jsonl": "24fb4ae01f9cbe3d0f2870d573d7016e882ee53bb24316cbcbd84e88512377a4",
         "run_kall_seed2/iid.json": "ce11064e1e961bce0fba938e4e180f1852efb4f6b2b81738b2a14f0eee527813",
         "run_kall_seed2/report.json": "2f14d986b4611da98bffa4c2c7c7d0e5afa7726dfa67575ac7a1b4fa24324e3e",
-        "sweep.json": "127f07d4a9f10c79ccf41c395e04f2f8ab6705acd03f72f8f80b84d15671b43d",
+        "sweep.json": "712ac035d8af93b617e0eb60ca04726cd95c68d6fbfa7d79390cfa718a7cf5c6",
     },
     "u32": {
         "comparison.csv": "1cce4eea6e0f760d8d005f77c34692427b1c70638c447afc3d1ac52a79218115",
@@ -88,7 +88,7 @@ DIGESTS = {
         "run_kall_seed0/batches.jsonl": "675e762c365c04b656cc200302b840f09336ecb5b4ca0796c608280f110cac99",
         "run_kall_seed0/iid.json": "c8bceff82959d051d0b53dd34746c109cc4549f9ffeff1555d093cd0e479c322",
         "run_kall_seed0/report.json": "66b34e5ba19bf8c1ce3a9d896b18a9f5365767210b965f706d5fa8e7bfc009ff",
-        "sweep.json": "1a9c3fcf70cb9a41586226bc9b137d84be06cab58634f6a4f679cfa15f6e9ebf",
+        "sweep.json": "8b2cb0df4d0f5cfd33cc47a48bc8d99a48bce7271ed1691a9644d46576b462dc",
     },
     "corpus": {
         "comparison.csv": "43261dd1780b306e1670b8211458b65f9bfc91d2aac88a5df3630981b6464a4b",
